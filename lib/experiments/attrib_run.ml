@@ -1,16 +1,13 @@
 (* Cycle-accounted simulator runs: drive a scenario with the top-down
-   attribution recorder enabled, print and record the per-core bucket
-   breakdown, and measure what the recorder costs — the `bench attrib`
-   section. Mirrors Prof_run, which does the same for host-time
-   profiling. *)
+   attribution recorder enabled and print the per-core bucket breakdown
+   — the `bench attrib` section. Mirrors Prof_run, which does the same
+   for host-time profiling. *)
 
 module Sim = Occamy_core.Sim
 module Arch = Occamy_core.Arch
 module Config = Occamy_core.Config
 module Metrics = Occamy_core.Metrics
 module Attrib = Occamy_obs.Attrib
-module Json = Occamy_util.Json
-module Bench_log = Occamy_util.Bench_log
 
 type report = {
   ar_arch : Arch.t;
@@ -22,9 +19,7 @@ type report = {
 let run ?(cfg = Config.default) ?context_switches ?window ~arch wls =
   let attrib = Attrib.create ?window ~cores:cfg.Config.cores () in
   let t = Sim.create ~cfg ?context_switches ~attrib ~arch wls in
-  let t0 = Unix.gettimeofday () in
-  let m = Sim.run t in
-  let seconds = Unix.gettimeofday () -. t0 in
+  let m, seconds = Perf.time (fun () -> Sim.run t) in
   { ar_arch = arch; ar_attrib = attrib; ar_metrics = m; ar_seconds = seconds }
 
 let run_pair ?cfg ?window ~arch () =
@@ -36,58 +31,3 @@ let summary_table r =
       (Printf.sprintf "%s cycle accounting: %d cycles, %.3fs wall"
          (Arch.name r.ar_arch) r.ar_metrics.Metrics.total_cycles r.ar_seconds)
     r.ar_attrib
-
-(* The section key carries scenario and architecture so `bench compare`
-   (which groups trajectories by section) never mixes architectures. *)
-let record ?(path = Bench_log.attrib_path) ~scenario r =
-  Bench_log.append_line ~path
-    ([
-       ( "section",
-         Json.Str
-           (Printf.sprintf "attrib.%s.%s" scenario (Arch.name r.ar_arch)) );
-       ("scenario", Json.Str scenario);
-       ("arch", Json.Str (Arch.name r.ar_arch));
-       ("seconds", Json.Num r.ar_seconds);
-       ("jobs", Json.Num 1.0);
-       ("unix_time", Json.Num (Float.round (Unix.time ())));
-     ]
-    @ Attrib.json_fields r.ar_attrib)
-
-type overhead = {
-  av_plain_seconds : float;
-  av_enabled_seconds : float;
-  av_enabled_ratio : float;
-}
-
-(* Best-of-[repeat] with the recorder off vs on; the accounted run must
-   reproduce the plain one's metrics exactly (attribution is
-   observational), modulo the attribution rows themselves. *)
-let measure_overhead ?(cfg = Config.default) ?(repeat = 3) ~arch wls =
-  if repeat < 1 then invalid_arg "Attrib_run.measure_overhead: repeat >= 1";
-  let best mk_attrib =
-    let once () =
-      let t = Sim.create ~cfg ?attrib:(mk_attrib ()) ~arch wls in
-      let t0 = Unix.gettimeofday () in
-      let m = Sim.run t in
-      (m, Unix.gettimeofday () -. t0)
-    in
-    let m0, s0 = once () in
-    let s = ref s0 in
-    for _ = 2 to repeat do
-      let _, si = once () in
-      if si < !s then s := si
-    done;
-    (m0, !s)
-  in
-  let m_plain, plain = best (fun () -> None) in
-  let m_attrib, enabled =
-    best (fun () -> Some (Attrib.create ~cores:cfg.Config.cores ()))
-  in
-  if { m_attrib with Metrics.attrib = [||] } <> m_plain then
-    failwith
-      "Attrib_run.measure_overhead: accounted run diverged from the plain one";
-  {
-    av_plain_seconds = plain;
-    av_enabled_seconds = enabled;
-    av_enabled_ratio = enabled /. Float.max plain 1e-9;
-  }

@@ -1,13 +1,12 @@
-(* Self-profiled simulator runs; see the mli. *)
+(* Self-profiled simulator runs: drive a scenario with the stage
+   profiler enabled and print where the simulator's own host time goes
+   — the `bench profile` section and `occamy-sim ... --profile`. *)
 
 module Sim = Occamy_core.Sim
 module Arch = Occamy_core.Arch
-module Config = Occamy_core.Config
 module Metrics = Occamy_core.Metrics
 module Prof = Occamy_obs.Prof
 module Table = Occamy_util.Table
-module Json = Occamy_util.Json
-module Bench_log = Occamy_util.Bench_log
 
 type report = {
   rp_arch : Arch.t;
@@ -20,9 +19,7 @@ type report = {
 let profile ?cfg ?context_switches ?sample_every ~arch wls =
   let prof = Prof.create ?sample_every () in
   let t = Sim.create ?cfg ?context_switches ~prof ~arch wls in
-  let t0 = Unix.gettimeofday () in
-  let m = Sim.run t in
-  let seconds = Unix.gettimeofday () -. t0 in
+  let m, seconds = Perf.time (fun () -> Sim.run t) in
   {
     rp_arch = arch;
     rp_prof = prof;
@@ -95,60 +92,3 @@ let top3_line r =
            (fun (s, share) ->
              Printf.sprintf "%s %.1f%%" (Prof.stage_name s) share)
            tops)
-
-(* The section key carries scenario and architecture so `bench compare`
-   (which groups trajectories by section) never mixes, say, the Occamy
-   pair run with the FTS one. *)
-let record ?(path = Bench_log.profile_path) ~scenario r =
-  Bench_log.append_line ~path
-    ([
-       ( "section",
-         Json.Str
-           (Printf.sprintf "profile.%s.%s" scenario (Arch.name r.rp_arch)) );
-       ("scenario", Json.Str scenario);
-       ("arch", Json.Str (Arch.name r.rp_arch));
-       ("seconds", Json.Num r.rp_seconds);
-       ("jobs", Json.Num 1.0);
-       ("unix_time", Json.Num (Float.round (Unix.time ())));
-     ]
-    @ Prof.json_fields r.rp_prof
-    @ List.map (fun (k, v) -> ("work." ^ k, Json.Num v)) r.rp_work)
-
-let folded_to_file ~path r =
-  Json.write_file ~path (Prof.folded r.rp_prof)
-
-type overhead = {
-  ov_plain_seconds : float;
-  ov_enabled_seconds : float;
-  ov_enabled_ratio : float;
-}
-
-let measure_overhead ?cfg ?sample_every ?(repeat = 3) ~arch wls =
-  if repeat < 1 then invalid_arg "Prof_run.measure_overhead: repeat >= 1";
-  let best mk_prof =
-    let once () =
-      let t = Sim.create ?cfg ?prof:(mk_prof ()) ~arch wls in
-      let t0 = Unix.gettimeofday () in
-      let m = Sim.run t in
-      (m, Unix.gettimeofday () -. t0)
-    in
-    let m0, s0 = once () in
-    let s = ref s0 in
-    for _ = 2 to repeat do
-      let _, si = once () in
-      if si < !s then s := si
-    done;
-    (m0, !s)
-  in
-  let m_plain, plain = best (fun () -> None) in
-  let m_prof, enabled =
-    best (fun () -> Some (Prof.create ?sample_every ()))
-  in
-  if m_plain <> m_prof then
-    failwith
-      "Prof_run.measure_overhead: profiled run diverged from the plain one";
-  {
-    ov_plain_seconds = plain;
-    ov_enabled_seconds = enabled;
-    ov_enabled_ratio = enabled /. Float.max plain 1e-9;
-  }

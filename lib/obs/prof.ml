@@ -288,35 +288,3 @@ let folded t =
         row)
     t.acc2;
   Buffer.contents buf
-
-let json_fields ?(prefix = "") t =
-  let module Json = Occamy_util.Json in
-  let num i = Json.Num (float_of_int i) in
-  let per_stage =
-    List.concat_map
-      (fun st ->
-        let p = Printf.sprintf "%sstage.%s." prefix (stage_name st.ss_stage) in
-        [
-          (p ^ "ns", num st.ss_ns);
-          (p ^ "share", Json.Num st.ss_share);
-          (p ^ "calls", num st.ss_calls);
-          ( p ^ "p50_ns",
-            num
-              (if Histogram.is_empty st.ss_hist then 0
-               else Histogram.percentile st.ss_hist 50.0) );
-          ( p ^ "p99_ns",
-            num
-              (if Histogram.is_empty st.ss_hist then 0
-               else Histogram.percentile st.ss_hist 99.0) );
-        ])
-      (stats t)
-  in
-  per_stage
-  @ [
-      (prefix ^ "total_sampled_ns", num (total_sampled_ns t));
-      (prefix ^ "sampled_cycles", num (sampled_cycles t));
-      (prefix ^ "cycles", num (cycles t));
-      (prefix ^ "sample_every", num t.every);
-      ( prefix ^ "shares_sum",
-        Json.Num (List.fold_left (fun a (_, s) -> a +. s) 0.0 (shares t)) );
-    ]

@@ -112,11 +112,7 @@ val folded : t -> string
     ["occamy;stage;substage <ns>"] line per observed stack path), e.g.
     [flamegraph.pl < profile.folded > profile.svg]. *)
 
-val json_fields : ?prefix:string -> t -> (string * Occamy_util.Json.value) list
-(** Flat JSON fields: per-stage [<prefix>stage.<name>.{ns,share,calls,
-    p50_ns,p99_ns}] plus [<prefix>{sampled_cycles,cycles,sample_every,
-    total_sampled_ns,shares_sum}]. *)
-
 val clock_ns : unit -> int64
 (** The monotonic clock the scopes use (exposed for tests and for
-    observers that must agree with it). *)
+    timers that must agree with it: [Occamy_experiments.Perf.time] and
+    perfbench's spans). *)

@@ -208,8 +208,25 @@ let test_reliability_shape () =
         (Printf.sprintf "TMR slows %s down" (Arch.name s.R.arch))
         true
         (R.slowdown s > 1.0))
-    r.R.costs;
-  Helpers.check_bool "json entries non-empty" true (R.json_entries r <> [])
+    r.R.costs
+
+let test_perf_measure () =
+  (* The naive-vs-fast-forward timer on a small motivating pair: its
+     cycle count is the simulation's own, its timings are real, and a
+     zero repetition count is refused. *)
+  let module Perf = Occamy_experiments.Perf in
+  let wls () = Occamy_workloads.Motivating.pair ~tc0:1024 ~tc1:4096 () in
+  let s = Perf.measure ~repeat:1 ~arch:Arch.Occamy (wls ()) in
+  let m = Sim.simulate ~arch:Arch.Occamy (wls ()) in
+  Helpers.check_int "simulated cycles = Sim.simulate's total"
+    m.Metrics.total_cycles s.Perf.simulated_cycles;
+  Helpers.check_bool "skipped <= simulated" true
+    (s.Perf.skipped_cycles <= s.Perf.simulated_cycles);
+  Helpers.check_bool "naive seconds > 0" true (s.Perf.naive_seconds > 0.0);
+  Helpers.check_bool "ff seconds > 0" true (s.Perf.ff_seconds > 0.0);
+  Alcotest.check_raises "repeat 0 rejected"
+    (Invalid_argument "Perf.measure: repeat must be >= 1") (fun () ->
+      ignore (Perf.measure ~repeat:0 ~arch:Arch.Occamy (wls ())))
 
 let suites =
   [
@@ -228,5 +245,6 @@ let suites =
         Alcotest.test_case "pairs csv shape" `Quick test_pairs_csv_shape;
         Alcotest.test_case "four-core shape" `Slow test_four_core_group_shape;
         Alcotest.test_case "reliability shape" `Quick test_reliability_shape;
+        Alcotest.test_case "perf measure" `Quick test_perf_measure;
       ] );
   ]

@@ -11,7 +11,6 @@ module Arch = Occamy_core.Arch
 module Sim = Occamy_core.Sim
 module Invariant = Occamy_check.Invariant
 module Motivating = Occamy_workloads.Motivating
-module Json = Occamy_util.Json
 
 let check_int = Helpers.check_int
 let check_bool = Helpers.check_bool
@@ -146,29 +145,6 @@ let test_folded_output () =
           | None -> false))
     lines
 
-let test_json_fields () =
-  let t = run_pair ~fast_forward:true ~arch:Arch.Occamy in
-  let p = Sim.prof t in
-  let fields = Prof.json_fields p in
-  let num k =
-    match List.assoc_opt k fields with
-    | Some (Json.Num f) -> f
-    | _ -> Alcotest.failf "missing numeric field %s" k
-  in
-  check_bool "shares_sum ~ 100" true (Float.abs (num "shares_sum" -. 100.0) < 1.0);
-  check_bool "cycles positive" true (num "cycles" > 0.0);
-  check_bool "per-stage share present" true
-    (List.mem_assoc "stage.dispatch.share" fields);
-  (* the flat fields must round-trip through the JSONL writer/parser *)
-  let line = Json.obj_to_line fields in
-  match Json.parse_flat_obj line with
-  | Error msg -> Alcotest.failf "fields do not round-trip: %s" msg
-  | Ok parsed ->
-    check_bool "round-trips" true
-      (match List.assoc_opt "stage.dispatch.share" parsed with
-      | Some (Json.Num _) -> true
-      | _ -> false)
-
 let suites =
   [
     ( "prof",
@@ -186,6 +162,5 @@ let suites =
         Alcotest.test_case "unbalanced scopes raise" `Quick
           test_unbalanced_scopes_raise;
         Alcotest.test_case "folded stacks" `Quick test_folded_output;
-        Alcotest.test_case "json fields" `Quick test_json_fields;
       ] );
   ]
