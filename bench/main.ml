@@ -31,7 +31,7 @@ let known_sections =
 let usage () =
   Printf.eprintf
     "usage: bench [-j N] [--max-jobs N] [--oversubscribe] [--trace-dir DIR] \
-     [--golden-check|--golden-update] [--profile] [%s]...\n%!"
+     [--golden-check|--golden-update] [%s]...\n%!"
     (String.concat "|" known_sections)
 
 (* `-j N` / `-jN` / `--jobs N` selects the worker-domain count; the
@@ -52,43 +52,34 @@ let jobs, oversubscribe, trace_dir, golden_mode, requested =
     | Some j when j >= 1 -> j
     | _ -> bad (Printf.sprintf "invalid job count %S" s)
   in
-  let rec parse jobs cap osub tdir golden prof acc = function
-    | [] -> (jobs, cap, osub, tdir, golden, prof, List.rev acc)
+  let rec parse jobs cap osub tdir golden acc = function
+    | [] -> (jobs, cap, osub, tdir, golden, List.rev acc)
     | ("-j" | "--jobs") :: n :: rest ->
-      parse (Some (parse_jobs n)) cap osub tdir golden prof acc rest
+      parse (Some (parse_jobs n)) cap osub tdir golden acc rest
     | [ ("-j" | "--jobs") ] -> bad "-j expects a count"
     | "--max-jobs" :: n :: rest ->
-      parse jobs (Some (parse_jobs n)) osub tdir golden prof acc rest
+      parse jobs (Some (parse_jobs n)) osub tdir golden acc rest
     | [ "--max-jobs" ] -> bad "--max-jobs expects a count"
-    | "--oversubscribe" :: rest -> parse jobs cap true tdir golden prof acc rest
+    | "--oversubscribe" :: rest -> parse jobs cap true tdir golden acc rest
     | "--trace-dir" :: d :: rest ->
-      parse jobs cap osub (Some d) golden prof acc rest
+      parse jobs cap osub (Some d) golden acc rest
     | [ "--trace-dir" ] -> bad "--trace-dir expects a directory"
     | "--golden-check" :: rest ->
-      parse jobs cap osub tdir Golden_check prof acc rest
+      parse jobs cap osub tdir Golden_check acc rest
     | "--golden-update" :: rest ->
-      parse jobs cap osub tdir Golden_update prof acc rest
-    | "--profile" :: rest -> parse jobs cap osub tdir golden true acc rest
+      parse jobs cap osub tdir Golden_update acc rest
     | s :: rest when String.length s > 2 && String.sub s 0 2 = "-j" ->
       parse
         (Some (parse_jobs (String.sub s 2 (String.length s - 2))))
-        cap osub tdir golden prof acc rest
+        cap osub tdir golden acc rest
     | s :: rest when String.length s > 0 && s.[0] = '-' ->
       ignore rest;
       bad (Printf.sprintf "unknown option %S" s)
-    | s :: rest -> parse jobs cap osub tdir golden prof (s :: acc) rest
+    | s :: rest -> parse jobs cap osub tdir golden (s :: acc) rest
   in
-  let jobs, cap, osub, tdir, golden, prof, requested =
-    parse None None false None No_golden false []
+  let jobs, cap, osub, tdir, golden, requested =
+    parse None None false None No_golden []
       (List.tl (Array.to_list Sys.argv))
-  in
-  (* `--profile` adds the profile section to an explicit section list
-     (with no sections given, every section — profile included — runs
-     anyway). *)
-  let requested =
-    if prof && requested <> [] && not (List.mem "profile" requested) then
-      requested @ [ "profile" ]
-    else requested
   in
   let tdir =
     match tdir with Some _ -> tdir | None -> Sys.getenv_opt "OCCAMY_TRACE"
@@ -342,7 +333,6 @@ let run_scaling () =
 
 (* ------------------------------------------------------------------ *)
 (* Self-profile: where do dense-run simulator cycles go?               *)
-(* (`bench profile` / `--profile`)                                     *)
 (* ------------------------------------------------------------------ *)
 
 let run_profile () =
@@ -457,9 +447,6 @@ let golden_core_keys cores =
            (Printf.sprintf "core%d.%s" c)
            [
              "finish"; "issued_compute"; "issued_mem"; "reconfigs";
-             (* Injection is off in every gated machine: these must stay
-                0, pinning the fault layer's zero-overhead default. *)
-             "fault_opportunities"; "faults_injected";
            ]))
 
 let golden_sim_keys =

@@ -741,8 +741,8 @@ let fuzz_cmd =
              TMR lowerings and runs the differential masking oracle — \
              single-bit lane flips must all be masked by TMR (any escape \
              is silent corruption and fails), plain-mode flips are \
-             classified detected/benign, and the simulator's two tick \
-             loops must stay bit-identical under rate-driven injection.")
+             classified detected/benign, and the TMR binary must run \
+             bit-identically on the simulator's two tick loops.")
   in
   let out_arg =
     Arg.(

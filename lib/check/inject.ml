@@ -12,7 +12,6 @@ module Arch = Occamy_core.Arch
 module Sim = Occamy_core.Sim
 module Metrics = Occamy_core.Metrics
 module Trace = Occamy_obs.Trace
-module Event = Occamy_obs.Event
 module Urng = Occamy_util.Rng
 module Domain_pool = Occamy_util.Domain_pool
 
@@ -62,22 +61,6 @@ let schedule_hook ~applied faults : Interp.fault_hook =
             applied := { f with f_lane = lane } :: !applied
           end)
         faults
-    end
-
-(* Rate-driven stream, deciding each opportunity from the same pure
-   [Urng.flip_decision] the timing simulator uses — one formula, two
-   executors, so a (seed, rate) pair names one fault schedule in both. *)
-let stream_hook ?(stream = 0) ~seed ~rate ~applied () : Interp.fault_hook =
-  let counter = ref 0 in
-  fun ~site ~data ~off ~len ->
-    if eligible site then begin
-      let index = !counter in
-      counter := index + 1;
-      match Urng.flip_decision ~seed ~stream ~rate ~index ~len with
-      | None -> ()
-      | Some (lane, bit) ->
-        data.(off + lane) <- flip_f32 data.(off + lane) bit;
-        applied := { f_op = index; f_lane = lane; f_bit = bit } :: !applied
     end
 
 (* ------------------------------------------------------------------ *)
@@ -142,8 +125,6 @@ type stats = {
   plain_trials : int;
   plain_detected : int;
   plain_benign : int;
-  sim_opportunities : int;
-  sim_faults : int;
 }
 
 let zero_stats =
@@ -155,8 +136,6 @@ let zero_stats =
     plain_trials = 0;
     plain_detected = 0;
     plain_benign = 0;
-    sim_opportunities = 0;
-    sim_faults = 0;
   }
 
 let add_stats a b =
@@ -168,17 +147,14 @@ let add_stats a b =
     plain_trials = a.plain_trials + b.plain_trials;
     plain_detected = a.plain_detected + b.plain_detected;
     plain_benign = a.plain_benign + b.plain_benign;
-    sim_opportunities = a.sim_opportunities + b.sim_opportunities;
-    sim_faults = a.sim_faults + b.sim_faults;
   }
 
 let pp_stats ppf s =
   Format.fprintf ppf
     "tmr %d/%d masked (%d opportunities), plain %d detected + %d benign of \
-     %d (%d opportunities), sim %d faults / %d opportunities"
+     %d (%d opportunities)"
     s.tmr_masked s.tmr_trials s.tmr_opportunities s.plain_detected
-    s.plain_benign s.plain_trials s.plain_opportunities s.sim_faults
-    s.sim_opportunities
+    s.plain_benign s.plain_trials s.plain_opportunities
 
 (* TMR triples the live vector registers; stay well inside the 32-vreg
    file and the interpreter's fuel. *)
@@ -254,20 +230,13 @@ let run_trials ~wl ~init ~seed ~mode_stream ~trials ~on_trial =
   let* acc = go 0 (0, 0) in
   Ok (!n_ops, acc)
 
-(* Rate-driven timing-simulator campaign: both tick loops under
-   injection must stay bit-identical (fault opportunities only exist at
-   issue sites, which never fall inside a provably-inert fast-forward
-   stretch), the trace must carry exactly one Fault_inject event per
-   counted flip, and observed traffic must match the TMR-aware
-   Equation-5 prediction. *)
-let run_sim_injected ~expected_bytes ~arch wl ~inject_seed =
-  let cfg =
-    {
-      Config.default with
-      Config.inject_rate = 0.02;
-      inject_seed;
-    }
-  in
+(* The TMR binary on the timing simulator: fuzz cases never set
+   [Codegen.tmr], so this is where voters in the issue stream meet both
+   tick loops. The loops must stay bit-identical, and observed traffic
+   must match the TMR-aware Equation-5 prediction (loads issued once per
+   replica). *)
+let run_sim_tmr ~expected_bytes ~arch wl =
+  let cfg = Config.default in
   let workloads = List.init cfg.Config.cores (fun _ -> wl) in
   let run fast_forward =
     let trace =
@@ -286,57 +255,20 @@ let run_sim_injected ~expected_bytes ~arch wl ~inject_seed =
     let* () =
       match Invariant.check_equivalent m_naive m with
       | Ok () -> Ok ()
-      | Error msg ->
-        failf stage "fast-forward diverged under injection: %s" msg
+      | Error msg -> failf stage "fast-forward diverged on TMR: %s" msg
     in
     let* () =
       match Invariant.check_same_trace trace_naive trace with
       | Ok () -> Ok ()
-      | Error msg ->
-        failf stage "fast-forward trace diverged under injection: %s" msg
+      | Error msg -> failf stage "fast-forward trace diverged on TMR: %s" msg
     in
-    let opportunities =
-      Array.fold_left
-        (fun acc c -> acc + c.Metrics.fault_opportunities)
-        0 m.Metrics.cores
-    in
-    let faults =
-      Array.fold_left
-        (fun acc c -> acc + c.Metrics.faults_injected)
-        0 m.Metrics.cores
-    in
-    let* () =
-      if faults > opportunities then
-        failf stage "%d faults on %d opportunities" faults opportunities
-      else Ok ()
-    in
-    (* Injection marks issue slots but never adds or removes traffic: the
-       observed bytes must still equal the TMR-aware Equation-5
-       prediction (loads issued once per replica). *)
     let observed = Metrics.total_mem_bytes m in
     let want = float_of_int cfg.Config.cores *. expected_bytes in
-    let* () =
-      if Float.abs (observed -. want) > 0.5 then
-        failf stage
-          "observed %.0f bytes of TMR vector traffic, Equation-5 predicts %.0f"
-          observed want
-      else Ok ()
-    in
-    (* Event/counter agreement, unless the ring dropped events. *)
-    let traced = ref 0 in
-    let dropped = ref 0 in
-    Trace.iter trace (fun ~track:_ ~cycle:_ ev ->
-        match ev with Event.Fault_inject _ -> incr traced | _ -> ());
-    for tr = 0 to Trace.num_tracks trace - 1 do
-      dropped := !dropped + Trace.dropped trace ~track:tr
-    done;
-    let* () =
-      if !dropped = 0 && !traced <> faults then
-        failf stage "%d Fault_inject trace events but %d counted faults"
-          !traced faults
-      else Ok ()
-    in
-    Ok (opportunities, faults)
+    if Float.abs (observed -. want) > 0.5 then
+      failf stage
+        "observed %.0f bytes of TMR vector traffic, Equation-5 predicts %.0f"
+        observed want
+    else Ok ()
   with
   | r -> r
   | exception Sim.Simulation_error msg -> failf stage "simulation error: %s" msg
@@ -394,24 +326,18 @@ let check ?(trials = default_trials) (c : Diff.case) =
     in
     let tmr_trials = if tmr_opportunities = 0 then 0 else trials in
     let plain_trials = if plain_opportunities = 0 then 0 else trials in
-    (* Timing side, all four architectures, on the TMR binary (voters in
-       the issue stream) with rate-driven injection. *)
+    (* Timing side, all four architectures, on the TMR binary. *)
     let tmr_bytes =
       Diff.predicted_bytes
         ~options:{ c.Diff.options with Codegen.tmr = true }
         c.Diff.loops
     in
-    let* sim_opportunities, sim_faults =
+    let* () =
       List.fold_left
         (fun acc arch ->
-          let* so, sf = acc in
-          let* o, f =
-            run_sim_injected ~expected_bytes:tmr_bytes ~arch tmr_wl
-              ~inject_seed:(seed land 0x3FFF_FFFF)
-          in
-          Ok (so + o, sf + f))
-        (Ok (0, 0))
-        Arch.all
+          let* () = acc in
+          run_sim_tmr ~expected_bytes:tmr_bytes ~arch tmr_wl)
+        (Ok ()) Arch.all
     in
     Ok
       {
@@ -422,8 +348,6 @@ let check ?(trials = default_trials) (c : Diff.case) =
         plain_trials;
         plain_detected;
         plain_benign;
-        sim_opportunities;
-        sim_faults;
       }
 
 let case_of_seed case_seed = Diff.case_of_seed ~cfg:gen_cfg case_seed

@@ -9,13 +9,9 @@
     boundary) and are excluded for plain and TMR runs alike, so both
     lowerings face the identical fault surface.
 
-    Because the timing simulator carries no vector values, injection is
-    split across the two executors sharing one pure decision stream
-    ({!Occamy_util.Rng.flip_decision}): the functional interpreter
-    applies flips to data through its [fault_hook], while
-    {!Occamy_core.Sim} marks the same per-(seed, stream, index)
-    decisions as {!Occamy_obs.Event.Fault_inject} trace events and
-    [faults_injected] counters at issue sites.
+    The timing simulator carries no vector values, so faults are
+    decided and applied only here, in the functional interpreter,
+    through its [fault_hook].
 
     The oracle ({!check}) asserts, per case:
 
@@ -27,9 +23,9 @@
     + under plain lowering each flip is classified detected (output
       diverges — the differential pipeline would catch it) or benign
       (logically masked); both are recorded, neither fails;
-    + on all four architectures, the two simulator tick loops stay
-      bit-identical under rate-driven injection, and the trace carries
-      exactly one [Fault_inject] event per counted fault. *)
+    + on all four architectures, the TMR binary runs bit-identically on
+      the two simulator tick loops, and its traffic matches the
+      TMR-aware Equation-5 prediction. *)
 
 type fault = {
   f_op : int;   (** eligible-opportunity index the flip fires on *)
@@ -52,18 +48,6 @@ val schedule_hook :
   applied:fault list ref -> fault list -> Occamy_isa.Interp.fault_hook
 (** Hook applying an explicit fault schedule; each landed flip (with its
     lane reduced) is consed onto [applied]. *)
-
-val stream_hook :
-  ?stream:int ->
-  seed:int ->
-  rate:float ->
-  applied:fault list ref ->
-  unit ->
-  Occamy_isa.Interp.fault_hook
-(** Rate-driven hook deciding every eligible opportunity from
-    {!Occamy_util.Rng.flip_decision} — the same formula the timing
-    simulator marks faults with, so a (seed, rate) pair names one
-    schedule across both executors. *)
 
 val fault_env : Occamy_isa.Interp.env
 (** The fixed solo environment every fault run executes under: baseline
@@ -99,8 +83,6 @@ type stats = {
   plain_trials : int;
   plain_detected : int;  (** plain-mode flips visible in the output *)
   plain_benign : int;    (** plain-mode flips logically masked *)
-  sim_opportunities : int;  (** issue-site opportunities, all archs/cores *)
-  sim_faults : int;         (** rate-driven Sim flips, all archs/cores *)
 }
 
 val zero_stats : stats

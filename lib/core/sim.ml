@@ -211,8 +211,6 @@ type core_state = {
   (* statistics *)
   mutable issued_compute : int;
   mutable issued_mem : int;
-  mutable inj_ops : int;     (* fault-injection opportunities seen *)
-  mutable inj_faults : int;  (* opportunities on which the stream fired *)
   mutable rename_stalls : int;
   mutable blocked_vl_cycles : int;
   mutable monitor_instrs : int;
@@ -290,17 +288,6 @@ type t = {
   at_mob_blocked : bool array;  (* a ready mem uop hit a MOB conflict this
                                    cycle (set by the dispatch sweep) *)
   at_ff_buckets : int array;    (* scratch: per-core bucket for an FF jump *)
-  (* -------- fault injection (observational marking only) ------------ *)
-  inj_on : bool;
-      (* hoisted [cfg.inject_rate > 0]: one branch per issue when off.
-         The timing simulator carries no vector *data*, so injection
-         here only marks which opportunities fire (trace events +
-         counters) from the pure per-(seed, core, index) decision
-         stream; the functional interpreter corrupts actual values from
-         the same stream semantics. Opportunities exist only at issue
-         sites, which never occur inside a fast-forwarded stretch
-         (provably inert cycles issue nothing), so naive and
-         fast-forwarding loops see identical fault streams. *)
 }
 
 let src = Logs.Src.create "occamy.sim" ~doc:"cycle-level simulator events"
@@ -432,8 +419,6 @@ let make_core cfg arch ~shared_freelist id wl =
     owned_n = 0;
     issued_compute = 0;
     issued_mem = 0;
-    inj_ops = 0;
-    inj_faults = 0;
     rename_stalls = 0;
     blocked_vl_cycles = 0;
     monitor_instrs = 0;
@@ -597,7 +582,6 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
     at_prev_stalls = Array.make cfg.cores 0;
     at_mob_blocked = Array.make cfg.cores false;
     at_ff_buckets = Array.make cfg.cores 0;
-    inj_on = cfg.inject_rate > 0.0;
   }
 
 let[@inline] domain t core = if t.shares_ports then 0 else core
@@ -1255,25 +1239,6 @@ let rec heap_release_due c now =
     heap_release_due c now
   end
 
-(* One fault-injection opportunity: a vector write-back or LSU data
-   transfer just issued on [c]. Decide from the pure per-(seed, core,
-   index) stream — replayable without history — and record a firing as
-   a typed trace event plus a per-core counter. Call sites guard on
-   [t.inj_on], so a disabled stream costs exactly one branch; nothing
-   here touches timing state. *)
-let inject_opportunity t c ~site ~len =
-  let index = c.inj_ops in
-  c.inj_ops <- index + 1;
-  match
-    Rng.flip_decision ~seed:t.cfg.inject_seed ~stream:c.id
-      ~rate:t.cfg.inject_rate ~index ~len
-  with
-  | None -> ()
-  | Some (lane, bit) ->
-    c.inj_faults <- c.inj_faults + 1;
-    if tracing t then
-      trace_core t c (Event.Fault_inject { core = c.id; site; index; lane; bit })
-
 let record_compute_issue t c width =
   if Prof.sampled t.prof then Prof.enter t.prof Prof.Exe_apply;
   t.work_cycle <- t.cycle;
@@ -1353,10 +1318,7 @@ let attempt_issue t c ~dom ~units ~n slot =
       Bitset.remove c.w_scan_c slot;
       c.w_done.(slot) <- t.cycle + c.w_lat.(slot);
       wake_waiters c slot;
-      record_compute_issue t c c.w_width.(slot);
-      if t.inj_on then
-        inject_opportunity t c ~site:"reg"
-          ~len:(c.w_width.(slot) * Lane.f32_per_granule)
+      record_compute_issue t c c.w_width.(slot)
     end
   end
   else begin
@@ -1403,11 +1365,7 @@ let attempt_issue t c ~dom ~units ~n slot =
          data returns. *)
       c.w_done.(slot) <- (if is_store then t.cycle else done_at);
       c.w_mob.(slot) <- mslot;
-      record_mem_issue t c;
-      if t.inj_on then
-        inject_opportunity t c
-          ~site:(if is_store then "store" else "load")
-          ~len:c.w_elems.(slot)
+      record_mem_issue t c
       end
   end
 
@@ -2117,8 +2075,6 @@ let core_result c =
     monitor_stall_cycles = c.monitor_stall_cycles;
     reconfigs = c.reconfigs;
     failed_vl_requests = c.failed_vl;
-    fault_opportunities = c.inj_ops;
-    faults_injected = c.inj_faults;
     lsu_peak_loads = Lsu.peak_loads c.lsu;
     lsu_peak_stores = Lsu.peak_stores c.lsu;
     phases = List.rev c.done_phases;

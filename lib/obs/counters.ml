@@ -85,7 +85,7 @@ let record_pool ?(prefix = "sweep") t (s : Occamy_util.Domain_pool.stats) =
       incr t (p "minor_collections") ~by:ws.Work_steal.ws_minor_collections;
       incr t (p "major_collections") ~by:ws.Work_steal.ws_major_collections;
       addf (p "promoted_words") ws.Work_steal.ws_promoted_words)
-    s.Domain_pool.st_per_worker
+    s.Domain_pool.st_by_worker
 
 (** Flat JSON object fields in sorted-name order: the stable iteration
     order the JSON and OpenMetrics exporters rely on for deterministic,

@@ -57,13 +57,6 @@ type t =
   | Task_steal of { worker : int; victim : int; index : int; label : string }
       (** worker [worker] stole task [index] from [victim]'s deque; an
           instant event preceding the task's {!Task_begin} *)
-  | Fault_inject of { core : int; site : string; index : int; lane : int;
-                      bit : int }
-      (** the fault-decision stream fired at opportunity [index] of
-          [core]: a transient bit flip at [site] ("reg", "load" or
-          "store"), hitting f32 lane [lane] at bit [bit]. Purely
-          observational in the timing simulator — the same pure stream
-          drives the value corruption in the functional interpreter *)
 
 let kind = function
   | Phase_begin _ -> "phase_begin"
@@ -79,7 +72,6 @@ let kind = function
   | Task_begin _ -> "task_begin"
   | Task_end _ -> "task_end"
   | Task_steal _ -> "task_steal"
-  | Fault_inject _ -> "fault_inject"
 
 let core = function
   | Phase_begin { core; _ }
@@ -90,8 +82,7 @@ let core = function
   | Vl_deny { core; _ }
   | Rename_stall { core; _ }
   | Reconfig_blocked { core; _ }
-  | Mem_transition { core; _ }
-  | Fault_inject { core; _ } -> Some core
+  | Mem_transition { core; _ } -> Some core
   | Replan { trigger; _ } -> Some trigger
   | Task_begin _ | Task_end _ | Task_steal _ -> None
 
@@ -162,14 +153,6 @@ let args t =
       ("victim", string_of_int victim);
       ("index", string_of_int index);
       ("label", label);
-    ]
-  | Fault_inject { core; site; index; lane; bit } ->
-    [
-      ("core", string_of_int core);
-      ("site", site);
-      ("index", string_of_int index);
-      ("lane", string_of_int lane);
-      ("bit", string_of_int bit);
     ]
 
 (** Closed interval covered by an episode event, if it is one. *)

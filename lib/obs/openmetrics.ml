@@ -7,7 +7,7 @@ type sample = { s_labels : (string * string) list; s_value : float }
 
 type family = {
   fam_name : string;
-  fam_type : [ `Gauge | `Counter | `Summary ];
+  fam_type : [ `Gauge | `Counter ];
   fam_help : string;
   fam_samples : sample list;
 }
@@ -29,7 +29,6 @@ let sanitize s =
 let type_name = function
   | `Gauge -> "gauge"
   | `Counter -> "counter"
-  | `Summary -> "summary"
 
 (* Label values and help text share the same escaping rules. *)
 let escape s =
@@ -59,28 +58,20 @@ let render families =
         (Printf.sprintf "# TYPE %s %s\n" f.fam_name (type_name f.fam_type));
       List.iter
         (fun s ->
-          (* OpenMetrics requires the _total suffix on counter samples;
-             summaries carry their own _sum/_count suffixes in labels
-             passed as part of the family's sample list. *)
+          (* OpenMetrics requires the _total suffix on counter samples. *)
           let name =
             match f.fam_type with
             | `Counter -> f.fam_name ^ "_total"
-            | `Gauge | `Summary -> (
-              match List.assoc_opt "__suffix__" s.s_labels with
-              | Some suffix -> f.fam_name ^ suffix
-              | None -> f.fam_name)
-          in
-          let labels =
-            List.filter (fun (k, _) -> k <> "__suffix__") s.s_labels
+            | `Gauge -> f.fam_name
           in
           let label_str =
-            if labels = [] then ""
+            if s.s_labels = [] then ""
             else
               "{"
               ^ String.concat ","
                   (List.map
                      (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape v))
-                     labels)
+                     s.s_labels)
               ^ "}"
           in
           Buffer.add_string b
@@ -141,40 +132,6 @@ let of_attrib a =
       };
     ]
   end
-
-let of_histogram ~name ~help h =
-  let name = sanitize name in
-  let q p =
-    {
-      s_labels = [ ("quantile", p) ];
-      s_value = float_of_int (Histogram.percentile h (100.0 *. float_of_string p));
-    }
-  in
-  [
-    {
-      fam_name = name;
-      fam_type = `Summary;
-      fam_help = help;
-      fam_samples =
-        [
-          q "0.5";
-          q "0.9";
-          q "0.99";
-          { s_labels = [ ("__suffix__", "_sum") ]; s_value = Histogram.sum h };
-          {
-            s_labels = [ ("__suffix__", "_count") ];
-            s_value = float_of_int (Histogram.count h);
-          };
-        ];
-    };
-    {
-      fam_name = name ^ "_max";
-      fam_type = `Gauge;
-      fam_help = help ^ " (exact maximum)";
-      fam_samples =
-        [ { s_labels = []; s_value = float_of_int (Histogram.max_value h) } ];
-    };
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)

@@ -46,7 +46,7 @@ type observer =
 type stats = Work_steal.stats = {
   st_workers : int;
   st_tasks : int;
-  st_per_worker : Work_steal.worker_stats array;
+  st_by_worker : Work_steal.worker_stats array;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -85,84 +85,44 @@ let pool_size () =
 (* ------------------------------------------------------------------ *)
 
 type totals = {
-  t_maps : int;
   t_tasks : int;
   t_max_workers : int;
   t_steals : int;
   t_steal_attempts : int;
   t_minor_collections : int;
-  t_major_collections : int;
-  t_minor_words : float;
   t_promoted_words : float;
-  t_per_worker : Work_steal.worker_stats array;
 }
 
+(* One summed row plus the widest worker count; no reader needs the
+   per-worker split. *)
 let totals_mutex = Mutex.create ()
-let t_maps = ref 0
-let t_per_worker : Work_steal.worker_stats array ref = ref [||]
+let t_sum = ref Work_steal.zero_worker_stats
+let t_max_workers = ref 0
 
 let reset_totals () =
   Mutex.lock totals_mutex;
-  t_maps := 0;
-  t_per_worker := [||];
+  t_sum := Work_steal.zero_worker_stats;
+  t_max_workers := 0;
   Mutex.unlock totals_mutex
 
 let record_totals (s : stats) =
+  let ws = Work_steal.sum_stats s in
   Mutex.lock totals_mutex;
-  incr t_maps;
-  let w = s.st_workers in
-  if Array.length !t_per_worker < w then begin
-    let bigger = Array.make w Work_steal.zero_worker_stats in
-    Array.blit !t_per_worker 0 bigger 0 (Array.length !t_per_worker);
-    t_per_worker := bigger
-  end;
-  Array.iteri
-    (fun i (ws : Work_steal.worker_stats) ->
-      let a = !t_per_worker.(i) in
-      !t_per_worker.(i) <-
-        {
-          Work_steal.ws_tasks = a.Work_steal.ws_tasks + ws.Work_steal.ws_tasks;
-          ws_steals = a.Work_steal.ws_steals + ws.Work_steal.ws_steals;
-          ws_steal_attempts =
-            a.Work_steal.ws_steal_attempts + ws.Work_steal.ws_steal_attempts;
-          ws_minor_collections =
-            a.Work_steal.ws_minor_collections
-            + ws.Work_steal.ws_minor_collections;
-          ws_major_collections =
-            a.Work_steal.ws_major_collections
-            + ws.Work_steal.ws_major_collections;
-          ws_minor_words =
-            a.Work_steal.ws_minor_words +. ws.Work_steal.ws_minor_words;
-          ws_promoted_words =
-            a.Work_steal.ws_promoted_words +. ws.Work_steal.ws_promoted_words;
-        })
-    s.st_per_worker;
+  t_sum := Work_steal.add_worker_stats !t_sum ws;
+  t_max_workers := max !t_max_workers s.st_workers;
   Mutex.unlock totals_mutex
 
 let totals () =
   Mutex.lock totals_mutex;
-  let per_worker = Array.copy !t_per_worker in
-  let maps = !t_maps in
+  let sum = !t_sum and max_workers = !t_max_workers in
   Mutex.unlock totals_mutex;
-  let sum =
-    Work_steal.sum_stats
-      {
-        st_workers = Array.length per_worker;
-        st_tasks = 0;
-        st_per_worker = per_worker;
-      }
-  in
   {
-    t_maps = maps;
     t_tasks = sum.Work_steal.ws_tasks;
-    t_max_workers = Array.length per_worker;
+    t_max_workers = max_workers;
     t_steals = sum.Work_steal.ws_steals;
     t_steal_attempts = sum.Work_steal.ws_steal_attempts;
     t_minor_collections = sum.Work_steal.ws_minor_collections;
-    t_major_collections = sum.Work_steal.ws_major_collections;
-    t_minor_words = sum.Work_steal.ws_minor_words;
     t_promoted_words = sum.Work_steal.ws_promoted_words;
-    t_per_worker = per_worker;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -209,7 +169,7 @@ let map_array ?jobs ?oversubscribe ?(observer = no_observer) ?stats f tasks =
       {
         st_workers = 1;
         st_tasks = n;
-        st_per_worker =
+        st_by_worker =
           [|
             {
               Work_steal.zero_worker_stats with

@@ -78,7 +78,7 @@ type observer =
 type stats = Work_steal.stats = {
   st_workers : int;
   st_tasks : int;
-  st_per_worker : Work_steal.worker_stats array;
+  st_by_worker : Work_steal.worker_stats array;
 }
 (** Per-call scheduler diagnostics (see {!Work_steal.stats}): worker
     count actually used, tasks/steals per worker, and per-worker
@@ -116,17 +116,12 @@ val map_array :
     steal behaviour without threading callbacks through each runner. *)
 
 type totals = {
-  t_maps : int;  (** [map] calls recorded *)
   t_tasks : int;
   t_max_workers : int;  (** widest effective worker count seen *)
   t_steals : int;
   t_steal_attempts : int;
   t_minor_collections : int;
-  t_major_collections : int;
-  t_minor_words : float;
   t_promoted_words : float;
-  t_per_worker : Work_steal.worker_stats array;
-      (** summed by worker id; length = [t_max_workers] *)
 }
 
 val reset_totals : unit -> unit

@@ -28,7 +28,7 @@ type worker_stats = {
 type stats = {
   st_workers : int;
   st_tasks : int;
-  st_per_worker : worker_stats array;
+  st_by_worker : worker_stats array;
 }
 
 let zero_worker_stats =
@@ -42,21 +42,19 @@ let zero_worker_stats =
     ws_promoted_words = 0.0;
   }
 
+let add_worker_stats a w =
+  {
+    ws_tasks = a.ws_tasks + w.ws_tasks;
+    ws_steals = a.ws_steals + w.ws_steals;
+    ws_steal_attempts = a.ws_steal_attempts + w.ws_steal_attempts;
+    ws_minor_collections = a.ws_minor_collections + w.ws_minor_collections;
+    ws_major_collections = a.ws_major_collections + w.ws_major_collections;
+    ws_minor_words = a.ws_minor_words +. w.ws_minor_words;
+    ws_promoted_words = a.ws_promoted_words +. w.ws_promoted_words;
+  }
+
 let sum_stats s =
-  Array.fold_left
-    (fun acc w ->
-      {
-        ws_tasks = acc.ws_tasks + w.ws_tasks;
-        ws_steals = acc.ws_steals + w.ws_steals;
-        ws_steal_attempts = acc.ws_steal_attempts + w.ws_steal_attempts;
-        ws_minor_collections =
-          acc.ws_minor_collections + w.ws_minor_collections;
-        ws_major_collections =
-          acc.ws_major_collections + w.ws_major_collections;
-        ws_minor_words = acc.ws_minor_words +. w.ws_minor_words;
-        ws_promoted_words = acc.ws_promoted_words +. w.ws_promoted_words;
-      })
-    zero_worker_stats s.st_per_worker
+  Array.fold_left add_worker_stats zero_worker_stats s.st_by_worker
 
 (* ------------------------------------------------------------------ *)
 (* Range deques: (lo, hi) packed into one atomic int                    *)
@@ -295,7 +293,7 @@ let shutdown pool =
 (* Running a job                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let empty_stats = { st_workers = 0; st_tasks = 0; st_per_worker = [||] }
+let empty_stats = { st_workers = 0; st_tasks = 0; st_by_worker = [||] }
 
 (* Sequential fallback: worker 0 only, same observer and error
    semantics as the pooled path (all tasks run; lowest index raises). *)
@@ -326,7 +324,7 @@ let run_inline ~observer ~on_stats body n =
       ws_promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
     }
   in
-  let stats = { st_workers = 1; st_tasks = n; st_per_worker = [| ws |] } in
+  let stats = { st_workers = 1; st_tasks = n; st_by_worker = [| ws |] } in
   on_stats stats;
   (match !err with
   | Some (_, exn, bt) -> Printexc.raise_with_backtrace exn bt
@@ -393,7 +391,7 @@ let run pool ~workers ?(observer = no_observer) ?(on_stats = ignore) body n =
             {
               st_workers = participants;
               st_tasks = n;
-              st_per_worker = Array.sub job.wstats 0 participants;
+              st_by_worker = Array.sub job.wstats 0 participants;
             }
           in
           on_stats stats;

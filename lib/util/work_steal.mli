@@ -61,10 +61,11 @@ type worker_stats = {
 type stats = {
   st_workers : int;  (** workers that participated in this job *)
   st_tasks : int;
-  st_per_worker : worker_stats array;  (** length [st_workers] *)
+  st_by_worker : worker_stats array;  (** length [st_workers] *)
 }
 
 val zero_worker_stats : worker_stats
+val add_worker_stats : worker_stats -> worker_stats -> worker_stats
 val sum_stats : stats -> worker_stats
 
 type t

@@ -1,9 +1,8 @@
-(* Fault-injection layer tests: the pure decision stream shared by both
-   executors, the majority voter, hook determinism and observational
-   purity, TMR masking / plain detection on a hand-built workload, the
-   timing simulator's injection accounting (rate 0 = bit-identical to
-   today, rate > 0 = same timing, both tick loops agree), fault-schedule
-   shrinking, and the fault-injection regression corpus. *)
+(* Fault-injection layer tests: the pure trial-schedule hash, the
+   majority voter, hook determinism and observational purity, TMR
+   masking / plain detection on a hand-built workload, the TMR binary on
+   both timing-simulator tick loops, fault-schedule shrinking, and the
+   fault-injection regression corpus. *)
 
 module Urng = Occamy_util.Rng
 module Vop = Occamy_isa.Vop
@@ -18,7 +17,6 @@ module Arch = Occamy_core.Arch
 module Sim = Occamy_core.Sim
 module Metrics = Occamy_core.Metrics
 module Trace = Occamy_obs.Trace
-module Event = Occamy_obs.Event
 module Diff = Occamy_check.Diff
 module Inject = Occamy_check.Inject
 module Shrink = Occamy_check.Shrink
@@ -28,33 +26,7 @@ module Level = Occamy_mem.Level
 
 open Loop_ir
 
-(* ---------------- the pure decision stream -------------------------- *)
-
-let decisions ~seed ~stream ~rate ~len n =
-  List.init n (fun index -> Urng.flip_decision ~seed ~stream ~rate ~index ~len)
-
-let test_flip_decision_pure () =
-  Helpers.check_bool "same coordinates, same decisions" true
-    (decisions ~seed:11 ~stream:3 ~rate:0.5 ~len:16 256
-    = decisions ~seed:11 ~stream:3 ~rate:0.5 ~len:16 256);
-  List.iter
-    (fun d -> Helpers.check_bool "rate 0 never fires" true (d = None))
-    (decisions ~seed:11 ~stream:3 ~rate:0.0 ~len:16 64);
-  List.iter
-    (fun d ->
-      match d with
-      | None -> Alcotest.fail "rate 1 must fire on every opportunity"
-      | Some (lane, bit) ->
-        Helpers.check_bool "lane in range" true (lane >= 0 && lane < 7);
-        Helpers.check_bool "bit in range" true (bit >= 0 && bit < 32))
-    (decisions ~seed:11 ~stream:3 ~rate:1.0 ~len:7 200)
-
-let test_flip_decision_streams_independent () =
-  let a = decisions ~seed:11 ~stream:0 ~rate:0.5 ~len:16 200 in
-  let b = decisions ~seed:11 ~stream:1 ~rate:0.5 ~len:16 200 in
-  Helpers.check_bool "distinct streams decide differently" false (a = b);
-  let c = decisions ~seed:12 ~stream:0 ~rate:0.5 ~len:16 200 in
-  Helpers.check_bool "distinct seeds decide differently" false (a = c)
+(* ---------------- the pure trial-schedule hash --------------------- *)
 
 let test_mix3_pure () =
   for i = 0 to 63 do
@@ -185,40 +157,6 @@ let test_schedule_hook_deterministic () =
   Helpers.check_bool "applied faults recorded identically" true (a1 = a2);
   Helpers.check_int "exactly one flip landed" 1 (List.length a1)
 
-let test_stream_hook_matches_flip_decision () =
-  (* The interpreter-side stream hook must fire exactly where the pure
-     formula says — the property that makes a (seed, rate) pair one
-     schedule across both executors. *)
-  let wl = compile_add ~tmr:false in
-  let init = add_init () in
-  (* First pass: log the transfer length of every eligible opportunity. *)
-  let lens = ref [] in
-  let log_hook ~site ~data:_ ~off:_ ~len =
-    if Inject.eligible site then lens := len :: !lens
-  in
-  ignore (Inject.exec ~fault_hook:log_hook wl init);
-  let lens = Array.of_list (List.rev !lens) in
-  let seed = 31 and rate = 0.4 and stream = 5 in
-  let expected =
-    List.filter_map
-      (fun index ->
-        match
-          Urng.flip_decision ~seed ~stream ~rate ~index ~len:lens.(index)
-        with
-        | None -> None
-        | Some (lane, bit) ->
-          Some { Inject.f_op = index; f_lane = lane; f_bit = bit })
-      (List.init (Array.length lens) Fun.id)
-  in
-  let applied = ref [] in
-  ignore
-    (Inject.exec
-       ~fault_hook:(Inject.stream_hook ~stream ~seed ~rate ~applied ())
-       wl init);
-  Helpers.check_bool "stream hook = pure flip_decision" true
-    (List.rev !applied = expected);
-  Helpers.check_bool "rate 0.4 fired at least once" true (expected <> [])
-
 (* ---------------- masking and detection ----------------------------- *)
 
 let test_tmr_masks_single_faults () =
@@ -316,98 +254,43 @@ let sim_loops =
       [ store "so" (("sa".%[0] *: "sb".%[0]) +: "sc".%[0]) ];
   ]
 
-let sim_wl =
-  lazy
-    (Codegen.compile_workload ~options ~name:"t-inject-sim"
-       ~kind:Workload.Mixed sim_loops)
-
-let simulate ?(fast_forward = true) ~rate ~seed () =
-  let cfg =
-    {
-      Config.default with
-      Config.inject_rate = rate;
-      inject_seed = seed;
-      fast_forward;
-    }
+(* Fuzz cases never set [Codegen.tmr], so this is where a TMR binary
+   (voters in the issue stream) meets both tick loops. *)
+let test_sim_tmr_both_loops () =
+  let tmr_options = { options with Codegen.tmr = true } in
+  let wl =
+    Codegen.compile_workload ~options:tmr_options ~name:"t-inject-sim-tmr"
+      ~kind:Workload.Mixed sim_loops
   in
-  let trace = Trace.for_sim ~capacity:(1 lsl 16) ~cores:cfg.Config.cores () in
-  let wls = List.init cfg.Config.cores (fun _ -> Lazy.force sim_wl) in
-  (Sim.simulate ~cfg ~trace ~arch:Arch.Occamy wls, trace)
-
-let fault_totals (m : Metrics.t) =
-  Array.fold_left
-    (fun (o, f) c ->
-      (o + c.Metrics.fault_opportunities, f + c.Metrics.faults_injected))
-    (0, 0) m.Metrics.cores
-
-let test_sim_rate_zero_is_disabled () =
-  (* inject_rate = 0 must be bit-identical to today's simulator, seed or
-     no seed — the one-branch guard never takes the injection path. *)
-  let m0, t0 = simulate ~rate:0.0 ~seed:0 () in
-  let m1, t1 = simulate ~rate:0.0 ~seed:123456 () in
-  (match Invariant.check_equivalent m0 m1 with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "rate-0 runs differ: %s" msg);
-  (match Invariant.check_same_trace t0 t1 with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "rate-0 traces differ: %s" msg);
-  let o, f = fault_totals m0 in
-  Helpers.check_int "no opportunities counted at rate 0" 0 o;
-  Helpers.check_int "no faults at rate 0" 0 f
-
-let test_sim_injection_never_perturbs_timing () =
-  (* Sim-side injection is observational marking: heavy injection must
-     leave every timing metric bit-identical to the uninjected run. *)
-  let m0, _ = simulate ~rate:0.0 ~seed:7 () in
-  let m1, _ = simulate ~rate:0.5 ~seed:7 () in
-  Helpers.check_int "total cycles unchanged" m0.Metrics.total_cycles
-    m1.Metrics.total_cycles;
-  Helpers.check_float "simd util unchanged" m0.Metrics.simd_util
-    m1.Metrics.simd_util;
-  Helpers.check_float "traffic unchanged" (Metrics.total_mem_bytes m0)
-    (Metrics.total_mem_bytes m1);
-  Array.iteri
-    (fun i c0 ->
-      let c1 = m1.Metrics.cores.(i) in
-      Helpers.check_int "finish unchanged" c0.Metrics.finish c1.Metrics.finish;
-      Helpers.check_int "issued compute unchanged" c0.Metrics.issued_compute
-        c1.Metrics.issued_compute;
-      Helpers.check_int "issued mem unchanged" c0.Metrics.issued_mem
-        c1.Metrics.issued_mem)
-    m0.Metrics.cores;
-  let o, f = fault_totals m1 in
-  Helpers.check_bool "rate 0.5 injects faults" true (f > 0);
-  Helpers.check_bool "faults bounded by opportunities" true (f <= o)
-
-let test_sim_both_loops_agree_under_injection () =
-  let m_ff, t_ff = simulate ~fast_forward:true ~rate:0.3 ~seed:9 () in
-  let m_nv, t_nv = simulate ~fast_forward:false ~rate:0.3 ~seed:9 () in
-  (match Invariant.check_equivalent m_nv m_ff with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "loops diverged under injection: %s" msg);
-  (match Invariant.check_same_trace t_nv t_ff with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "traces diverged under injection: %s" msg);
-  (* One Fault_inject event per counted flip, unless the ring dropped. *)
-  let _, f = fault_totals m_ff in
-  let traced = ref 0 and dropped = ref 0 in
-  Trace.iter t_ff (fun ~track:_ ~cycle:_ ev ->
-      match ev with Event.Fault_inject _ -> incr traced | _ -> ());
-  for tr = 0 to Trace.num_tracks t_ff - 1 do
-    dropped := !dropped + Trace.dropped t_ff ~track:tr
-  done;
-  if !dropped = 0 then Helpers.check_int "events match counters" f !traced;
-  Helpers.check_bool "rate 0.3 injected something" true (f > 0)
-
-let test_sim_fault_stream_deterministic () =
-  let counters m = Array.map (fun c -> c.Metrics.faults_injected) m.Metrics.cores in
-  let m1, _ = simulate ~rate:0.25 ~seed:41 () in
-  let m2, _ = simulate ~rate:0.25 ~seed:41 () in
-  Helpers.check_bool "same seed, same per-core fault counts" true
-    (counters m1 = counters m2);
-  let m3, _ = simulate ~rate:0.25 ~seed:42 () in
-  let o1, _ = fault_totals m1 and o3, _ = fault_totals m3 in
-  Helpers.check_int "opportunities independent of seed" o1 o3
+  let cfg = Config.default in
+  let want =
+    float_of_int cfg.Config.cores
+    *. Diff.predicted_bytes ~options:tmr_options sim_loops
+  in
+  List.iter
+    (fun arch ->
+      let run fast_forward =
+        let trace =
+          Trace.for_sim ~capacity:(1 lsl 16) ~cores:cfg.Config.cores ()
+        in
+        let wls = List.init cfg.Config.cores (fun _ -> wl) in
+        (Sim.simulate ~cfg:{ cfg with Config.fast_forward } ~trace ~arch wls,
+         trace)
+      in
+      let m_nv, t_nv = run false in
+      let m_ff, t_ff = run true in
+      (match Invariant.check_equivalent m_nv m_ff with
+      | Ok () -> ()
+      | Error msg ->
+        Alcotest.failf "%s: loops diverged: %s" (Arch.name arch) msg);
+      (match Invariant.check_same_trace t_nv t_ff with
+      | Ok () -> ()
+      | Error msg ->
+        Alcotest.failf "%s: traces diverged: %s" (Arch.name arch) msg);
+      Helpers.check_float
+        (Arch.name arch ^ ": traffic = TMR-aware Equation 5")
+        want (Metrics.total_mem_bytes m_ff))
+    Arch.all
 
 (* ---------------- shrinking fault schedules ------------------------- *)
 
@@ -476,9 +359,6 @@ let suites =
   [
     ( "inject.stream",
       [
-        Alcotest.test_case "flip_decision pure" `Quick test_flip_decision_pure;
-        Alcotest.test_case "streams independent" `Quick
-          test_flip_decision_streams_independent;
         Alcotest.test_case "mix3 pure" `Quick test_mix3_pure;
       ] );
     ( "inject.voter",
@@ -494,8 +374,6 @@ let suites =
           test_hooks_observational;
         Alcotest.test_case "schedule deterministic" `Quick
           test_schedule_hook_deterministic;
-        Alcotest.test_case "stream hook = formula" `Quick
-          test_stream_hook_matches_flip_decision;
       ] );
     ( "inject.tmr",
       [
@@ -510,14 +388,8 @@ let suites =
       ] );
     ( "inject.sim",
       [
-        Alcotest.test_case "rate 0 = disabled" `Quick
-          test_sim_rate_zero_is_disabled;
-        Alcotest.test_case "timing invariant" `Quick
-          test_sim_injection_never_perturbs_timing;
-        Alcotest.test_case "both loops agree" `Quick
-          test_sim_both_loops_agree_under_injection;
-        Alcotest.test_case "stream deterministic" `Quick
-          test_sim_fault_stream_deterministic;
+        Alcotest.test_case "TMR binary on both loops" `Quick
+          test_sim_tmr_both_loops;
       ] );
     ( "inject.shrink",
       [

@@ -1,6 +1,5 @@
 module Rng = Occamy_util.Rng
 module Stats = Occamy_util.Stats
-module Bq = Occamy_util.Bounded_queue
 module Table = Occamy_util.Table
 
 let test_rng_deterministic () =
@@ -70,18 +69,6 @@ let test_buckets_growth () =
   Helpers.check_int "1000 buckets" 1000 (Array.length avgs);
   Helpers.check_float "last" 999.0 avgs.(999)
 
-let test_bounded_queue () =
-  let q = Bq.create ~capacity:2 in
-  Helpers.check_bool "push 1" true (Bq.push q 1);
-  Helpers.check_bool "push 2" true (Bq.push q 2);
-  Helpers.check_bool "push 3 rejected" false (Bq.push q 3);
-  Helpers.check_int "length" 2 (Bq.length q);
-  Helpers.check_int "fifo order" 1 (Bq.pop q);
-  Helpers.check_bool "room again" true (Bq.push q 3);
-  Helpers.check_int "next" 2 (Bq.pop q);
-  Helpers.check_int "next" 3 (Bq.pop q);
-  Helpers.check_bool "empty" true (Bq.is_empty q)
-
 let test_table_render () =
   let t =
     Table.create ~title:"T" ~header:[ "a"; "bb" ]
@@ -124,7 +111,6 @@ let suites =
         Alcotest.test_case "acc" `Quick test_acc;
         Alcotest.test_case "buckets" `Quick test_buckets;
         Alcotest.test_case "buckets growth" `Quick test_buckets_growth;
-        Alcotest.test_case "bounded queue" `Quick test_bounded_queue;
         Alcotest.test_case "table render" `Quick test_table_render;
       ] );
     Helpers.qsuite "util.qcheck" [ qcheck_geomean_bounds; qcheck_acc_mean ];
