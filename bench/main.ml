@@ -224,10 +224,12 @@ let run_fig16 () =
 (* Simulator throughput: naive loop vs fast-forward                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The CI perf-smoke gate: generous and flake-resistant — fail only if
-   fast-forwarding makes the whole measured set >10% slower overall.
-   Both loops run back to back in this process, so the ratio holds on
-   any machine. *)
+(* The CI perf-smoke gate: fail if, in any scenario, the geomean over
+   the four architectures of fast-forward seconds per naive second
+   exceeds 1.10. Gating each scenario on its own keeps the long idle
+   [preempt] runs from lending slack to the dense rows, and the geomean
+   weighs every architecture alike. Both loops run alternately in this
+   process, so the ratio holds on any machine. *)
 let perf_gate = 1.10
 
 let run_perf () =
@@ -261,28 +263,26 @@ let run_perf () =
             (Occamy_workloads.Suite.compile_pair p) );
     ]
   in
-  let samples =
-    List.concat_map
+  let slow =
+    List.filter
       (fun (name, desc, f) ->
         Printf.printf "  %s: %s\n%!" name desc;
         let samples = f () in
         List.iter
           (fun s -> Format.printf "    %a@." E.Perf.pp_sample s)
           samples;
-        samples)
+        let ratio = E.Perf.ff_over_naive samples in
+        Printf.printf "    %s geomean: fast-forward/naive %.3f (speedup %.2fx)\n%!"
+          name ratio (1.0 /. ratio);
+        ratio > perf_gate)
       scenarios
   in
-  let naive = E.Perf.total_naive_seconds samples in
-  let ff = E.Perf.total_ff_seconds samples in
-  Printf.printf "  total: naive %.2fs, fast-forward %.2fs (speedup %.2fx)\n%!"
-    naive ff
-    (naive /. Float.max ff 1e-9);
-  if ff > perf_gate *. naive then begin
+  if slow <> [] then begin
     Printf.eprintf
-      "bench: fast-forward run is >%.0f%% slower than the naive loop \
-       (%.2fs vs %.2fs)\n%!"
+      "bench: fast-forward is >%.0f%% slower than the naive loop (geomean \
+       over architectures) on: %s\n%!"
       ((perf_gate -. 1.0) *. 100.0)
-      ff naive;
+      (String.concat ", " (List.map (fun (name, _, _) -> name) slow));
     exit 1
   end
 

@@ -77,11 +77,10 @@ let can_issue_arr t ~unit_ids ~n =
   t.issue_checks <- t.issue_checks + 1;
   probe t unit_ids n 0
 
-(** Array variant of {!issue}; like {!issue} it re-probes internally, so
-    a successful issue costs two {!issue_checks} on either API. *)
+(** Array variant of {!issue} for a caller that has just probed the same
+    units with {!can_issue_arr}: it books without probing again, so a
+    successful issue costs one {!issue_checks}. *)
 let issue_arr t ~unit_ids ~n =
-  if not (can_issue_arr t ~unit_ids ~n) then
-    invalid_arg "Exebu.issue: no slot free";
   t.issues <- t.issues + 1;
   for i = 0 to n - 1 do
     let u = unit_ids.(i) in

@@ -21,15 +21,16 @@ val can_issue_arr : t -> unit_ids:int array -> n:int -> bool
     hot-path entry point. *)
 
 val issue_arr : t -> unit_ids:int array -> n:int -> unit
-(** {!issue} over [unit_ids.(0 .. n-1)]; re-probes internally like
-    {!issue}, so a successful issue costs two {!issue_checks}. *)
+(** {!issue} over [unit_ids.(0 .. n-1)] without the internal probe: the
+    caller must have seen {!can_issue_arr} succeed on the same units this
+    cycle, so a successful issue costs one {!issue_checks}. *)
 
 val uops_executed : t -> int
 val uops_of_unit : t -> int -> int
 
 val issue_checks : t -> int
-(** Slot probes ({!can_issue} calls, including the one inside each
-    {!issue}) — the work count behind the self-profiler's [dispatch]
+(** Slot probes ({!can_issue}/{!can_issue_arr} calls, including the one
+    inside each {!issue}) — the work count behind the self-profiler's [dispatch]
     stage: compared with {!issues} it shows how much of the issue scan
     probes without issuing. *)
 

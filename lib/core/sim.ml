@@ -26,15 +26,18 @@
     {b Data-oriented core.} The per-cycle state lives in preallocated
     unboxed [int]/[float] arrays, not heap-linked structures: the
     instruction pool and the issue window are ring buffers of parallel
-    arrays indexed by monotonically increasing sequence numbers, window
-    occupancy is a packed bitmask ({!Occamy_util.Bitset}) swept by the
-    dispatch scan, register dependences are producer sequence numbers
-    (not entry pointers), and per-instruction operands are pre-decoded
-    once at construction. Steady-state stepping allocates nothing —
-    enforced by the [dod] zero-allocation test and the CI allocation
-    gate — and every structure is bit-identical in behaviour to the
-    boxed representation it replaced (golden metrics, the sim-vs-sim
-    fast-forward suite, and the fuzz corpus all hold). *)
+    arrays indexed by monotonically increasing sequence numbers, register
+    dependences are producer sequence numbers (not entry pointers), and
+    per-instruction operands are pre-decoded once at construction. An
+    unissued entry is placed, at rename and again when a producer issues,
+    on its producer's waiter list, on a ready-time heap, or in the packed
+    sweep set ({!Occamy_util.Bitset}) of its issue class; the dispatch
+    sweep visits only the sets of classes that can still issue.
+    Steady-state stepping allocates nothing — enforced by the [dod]
+    zero-allocation test and the CI allocation gate — and every
+    structure is bit-identical in behaviour to the boxed representation
+    it replaced (golden metrics, the sim-vs-sim fast-forward suite, and
+    the fuzz corpus all hold). *)
 
 module Instr = Occamy_isa.Instr
 module Reg = Occamy_isa.Reg
@@ -144,9 +147,8 @@ type core_state = {
   mutable p_tail : int;
   (* issue window: same ring scheme, capped at [Config.window].
      [w_s1..w_s3] are *producer sequence numbers* (-1 = no dependence):
-     a producer below [w_head] has retired and is trivially ready.
-     [w_unissued] is the packed occupancy bitmask of not-yet-issued
-     slots — the dispatch scan sweeps it in insertion order. *)
+     a producer below [w_head] has retired and is trivially ready. An
+     entry has issued exactly when its [w_done] is below [max_int]. *)
   w_kind : int array;
   w_width : int array;  (* granules captured at rename *)
   w_arr : int array;
@@ -158,43 +160,24 @@ type core_state = {
   w_s3 : int array;
   w_done : int array;
   w_mob : int array;    (* MOB slot handle once issued, -1 otherwise *)
-  (* dispatch ready-time heap: a binary min-heap of (ready cycle, slot)
-     over entries whose producers have all issued but whose latest
-     completion is still in the future. Such an entry's earliest issue
-     cycle is exact and fixed, so it leaves the sweep set and re-enters
-     when due — latency-blocked entries cost zero scan work meanwhile. *)
+  (* Every unissued entry sits in exactly one of three places, chosen by
+     {!place} at rename and again when a producer issues:
+     - the waiter list of its first unissued producer ([w_wfirst] heads,
+       [w_wnext] links);
+     - the ready-time heap, a binary min-heap of (ready cycle, slot) over
+       entries whose producers have all issued but whose latest
+       completion is still in the future: its earliest issue cycle is
+       then exact and fixed, so it waits there at zero scan cost;
+     - the sweep set of its issue class ([w_ready], indexed by
+       {!class_of}: compute/dup, load, store), once its operands are
+       ready. The dispatch sweep visits only the sets of classes that
+       can still issue this cycle. *)
   hp_rdy : int array;
   hp_slot : int array;
   mutable hp_n : int;
-  w_rdy : bool array;
-  (* FIFO (head, tail) of dep-ready loads parked while the load queue
-     was full, linked via [w_wnext] in sequence order; the retire stage
-     wakes as many as there are free slots, oldest first. Likewise for
-     stores. An entry parks here at most once (on the visit that first
-     finds its operands ready), so the list order is sequence order. *)
-  mutable lw_head : int;
-  mutable lw_tail : int;
-  mutable sw_head : int;
-  mutable sw_tail : int;
-      (* "operands known ready": set the first time an entry's producers
-         are all issued and complete; readiness is monotone, so later
-         visits (class-blocked entries re-probe every cycle) skip the
-         dependence derivation entirely. Reset on slot reuse. *)
-  w_scan : Bitset.t;
-  (* class-filtered subsets of [w_scan] ([_c] compute/dup, [_m] memory):
-     once a class's issue possibility resolves to "no" for the rest of a
-     core's dispatch pass, the sweep switches to the other class's
-     subset and stops visiting entries that could not issue anyway *)
-  w_scan_c : Bitset.t;
-  w_scan_m : Bitset.t;
-      (* the subset of [w_unissued] the dispatch sweep visits. An entry
-         whose producer has not issued leaves this set (parked on the
-         producer's waiter list below) and re-enters when the producer
-         issues, so dependence chains behind a stalled load are not
-         re-scanned every cycle. *)
   w_wfirst : int array;  (* head of each slot's parked-waiter list, -1 *)
   w_wnext : int array;   (* waiter list links, indexed by waiter slot *)
-  w_unissued : Bitset.t;
+  w_ready : Bitset.t array;
   w_cap : int;
   w_mask : int;
   mutable w_head : int;
@@ -251,10 +234,12 @@ type t = {
      of "a compute / a load / a store could issue right now" is
      entry-independent and only flips true->false when the scanning
      core itself issues, so the scan resolves each at most once and
-     invalidates on an issue of that class. See {!try_issue}. *)
+     invalidates on an issue of that class. A class at 0 is closed: the
+     sweep stops visiting its set. See {!comp_possible}. *)
   mutable sc_comp : int;
   mutable sc_load : int;
   mutable sc_store : int;
+  mutable visits : int;  (* sweep-set entries the dispatch sweep visited *)
   mutable cycle : int;
   mutable replans : int;
   (* fast-forward bookkeeping (reported, never fed back into timing) *)
@@ -394,17 +379,9 @@ let make_core cfg arch ~shared_freelist id wl =
     hp_rdy = Array.make w_cap 0;
     hp_slot = Array.make w_cap 0;
     hp_n = 0;
-    w_rdy = Array.make w_cap false;
-    lw_head = -1;
-    lw_tail = -1;
-    sw_head = -1;
-    sw_tail = -1;
-    w_scan = Bitset.create w_cap;
-    w_scan_c = Bitset.create w_cap;
-    w_scan_m = Bitset.create w_cap;
     w_wfirst = Array.make w_cap (-1);
     w_wnext = Array.make w_cap (-1);
-    w_unissued = Bitset.create w_cap;
+    w_ready = Array.init 3 (fun _ -> Bitset.create w_cap);
     w_cap;
     w_mask = w_cap - 1;
     w_head = 0;
@@ -562,6 +539,7 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
     sc_comp = -1;
     sc_load = -1;
     sc_store = -1;
+    visits = 0;
     cycle = 0;
     replans = (match arch with Arch.Vls -> 1 | _ -> 0);
     ff_skipped = 0;
@@ -1009,91 +987,18 @@ let step_frontend t c =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Rename (in order, bounded by freelist and window)                   *)
+(* Operand readiness: where an unissued entry waits                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Keep the class-filtered sweep subsets in lock-step with [w_scan]. *)
-let[@inline] scan_add c slot =
-  Bitset.add c.w_scan slot;
-  if c.w_kind.(slot) >= k_compute then Bitset.add c.w_scan_c slot
-  else Bitset.add c.w_scan_m slot
-
-let[@inline] scan_remove c slot =
-  Bitset.remove c.w_scan slot;
-  if c.w_kind.(slot) >= k_compute then Bitset.remove c.w_scan_c slot
-  else Bitset.remove c.w_scan_m slot
-
-let rec rename_loop t c renamed =
-  if
-    renamed >= t.cfg.rename_width
-    || c.p_head = c.p_tail
-    || c.w_tail - c.w_head >= t.cfg.window
-  then renamed
-  else begin
-    let ps = c.p_head land c.p_mask in
-    let kind = c.p_kind.(ps) in
-    (* Loads, computes and dups hold a physical register row until
-       commit; stores do not. *)
-    if kind <> k_store && not (Freelist.alloc c.freelist) then begin
-      c.rename_stalls <- c.rename_stalls + 1;
-      (match c.cur_phase with
-      | Some pa -> pa.pa_stalls <- pa.pa_stalls + 1
-      | None -> ());
-      renamed
-    end
-    else begin
-      c.p_head <- c.p_head + 1;
-      let slot = c.w_tail land c.w_mask in
-      c.w_kind.(slot) <- kind;
-      c.w_width.(slot) <- (if t.shares_ports then t.cfg.exebus else c.vl);
-      c.w_arr.(slot) <- c.p_arr.(ps);
-      c.w_base.(slot) <- c.p_base.(ps);
-      c.w_elems.(slot) <- c.p_elems.(ps);
-      c.w_lat.(slot) <- c.p_lat.(ps);
-      c.w_done.(slot) <- max_int;
-      c.w_mob.(slot) <- -1;
-      c.w_wfirst.(slot) <- -1;
-      c.w_rdy.(slot) <- false;
-      if kind = k_store then begin
-        (* A store waits on the last producer of the stored register. *)
-        c.w_s1.(slot) <- c.vmap.(c.p_dst.(ps));
-        c.w_s2.(slot) <- -1;
-        c.w_s3.(slot) <- -1
-      end
-      else if kind = k_compute then begin
-        let s1 = c.p_s1.(ps) and s2 = c.p_s2.(ps) and s3 = c.p_s3.(ps) in
-        c.w_s1.(slot) <- (if s1 >= 0 then c.vmap.(s1) else -1);
-        c.w_s2.(slot) <- (if s2 >= 0 then c.vmap.(s2) else -1);
-        c.w_s3.(slot) <- (if s3 >= 0 then c.vmap.(s3) else -1);
-        c.vmap.(c.p_dst.(ps)) <- c.w_tail
-      end
-      else begin
-        (* Loads and dups have no vector producers. *)
-        c.w_s1.(slot) <- -1;
-        c.w_s2.(slot) <- -1;
-        c.w_s3.(slot) <- -1;
-        c.vmap.(c.p_dst.(ps)) <- c.w_tail
-      end;
-      Bitset.add c.w_unissued slot;
-      scan_add c slot;
-      c.w_tail <- c.w_tail + 1;
-      rename_loop t c (renamed + 1)
-    end
-  end
-
-let rename t c =
-  if c.halted && c.p_head = c.p_tail then ()
-  else if rename_loop t c 0 > 0 then t.work_cycle <- t.cycle
-
-(* ------------------------------------------------------------------ *)
-(* Issue (out of order within the window)                              *)
-(* ------------------------------------------------------------------ *)
+(* Sweep-set index of an entry kind, which is also the class's bit in
+   the dispatch sweep's open mask: 0 compute/dup, 1 load, 2 store. *)
+let[@inline] class_of kind = if kind >= k_compute then 0 else kind + 1
 
 (* A producer below [w_head] has retired: its completion is in the past
    by construction (entries retire only once [done_at <= cycle]), so it
    is trivially ready — the dense arrays never need clearing. *)
 let[@inline] dep_issued c d =
-  d < c.w_head || not (Bitset.mem c.w_unissued (d land c.w_mask))
+  d < c.w_head || c.w_done.(d land c.w_mask) <> max_int
 
 (* Completion cycle of an *issued* producer; a retired one completed in
    the past, so 0 preserves [max]-over-producers exactly. *)
@@ -1110,81 +1015,6 @@ let[@inline] first_unissued c slot =
     else
       let d3 = c.w_s3.(slot) in
       if not (dep_issued c d3) then d3 else -1
-
-(* Park [slot] until producer [d] issues: it leaves the sweep set and
-   joins the producer's waiter list. Sound because the producer cannot
-   complete (or retire) without issuing, and {!wake_waiters} runs at
-   that issue. *)
-let[@inline] park c slot d =
-  let ps = d land c.w_mask in
-  c.w_wnext.(slot) <- c.w_wfirst.(ps);
-  c.w_wfirst.(ps) <- slot;
-  scan_remove c slot
-
-(* Re-admit [slot]'s parked waiters to the sweep set at its issue. A
-   waiter always sits later in ring order than its producer, so a
-   waiter woken mid-sweep is still visited this very cycle — exactly
-   when the naive rescanning dispatch would have reconsidered it. *)
-let rec wake_list c w =
-  if w >= 0 then begin
-    let nxt = c.w_wnext.(w) in
-    scan_add c w;
-    c.w_wnext.(w) <- -1;
-    wake_list c nxt
-  end
-
-let[@inline] wake_waiters c slot =
-  let w = c.w_wfirst.(slot) in
-  if w >= 0 then begin
-    c.w_wfirst.(slot) <- -1;
-    wake_list c w
-  end
-
-(* Park a dep-ready memory entry whose LSU direction is full: space can
-   only appear at a retire, so re-probing every cycle is wasted work.
-   The retire stage precedes dispatch within a cycle and wakes one
-   parked entry per free slot, oldest first, so a parked entry returns
-   to the sweep set no later than the cycle the rescanning dispatch
-   would have accepted it (a woken entry that loses the slot to budget
-   arbitration simply stays in the sweep set until it issues). Reuses
-   [w_wnext]: an entry is on at most one of the producer/space lists. *)
-let[@inline] park_space c slot ~is_store =
-  c.w_wnext.(slot) <- -1;
-  if is_store then begin
-    if c.sw_tail >= 0 then c.w_wnext.(c.sw_tail) <- slot
-    else c.sw_head <- slot;
-    c.sw_tail <- slot
-  end
-  else begin
-    if c.lw_tail >= 0 then c.w_wnext.(c.lw_tail) <- slot
-    else c.lw_head <- slot;
-    c.lw_tail <- slot
-  end;
-  Bitset.remove c.w_scan slot;
-  Bitset.remove c.w_scan_m slot
-
-(* Wake up to [n] space-parked entries (oldest first) of one direction. *)
-let rec wake_space_loads c n =
-  if n > 0 && c.lw_head >= 0 then begin
-    let w = c.lw_head in
-    c.lw_head <- c.w_wnext.(w);
-    if c.lw_head < 0 then c.lw_tail <- -1;
-    c.w_wnext.(w) <- -1;
-    Bitset.add c.w_scan w;
-    Bitset.add c.w_scan_m w;
-    wake_space_loads c (n - 1)
-  end
-
-let rec wake_space_stores c n =
-  if n > 0 && c.sw_head >= 0 then begin
-    let w = c.sw_head in
-    c.sw_head <- c.w_wnext.(w);
-    if c.sw_head < 0 then c.sw_tail <- -1;
-    c.w_wnext.(w) <- -1;
-    Bitset.add c.w_scan w;
-    Bitset.add c.w_scan_m w;
-    wake_space_stores c (n - 1)
-  end
 
 (* Ready-time min-heap over (hp_rdy, hp_slot); classic array heap in
    preallocated ints, so parking a latency-blocked entry allocates
@@ -1225,13 +1055,15 @@ let rec heap_sift_down c i =
     end
   end
 
-(* Re-admit every entry whose ready cycle has arrived to the sweep set
+let[@inline] ready_add c slot =
+  Bitset.add c.w_ready.(class_of c.w_kind.(slot)) slot
+
+(* Move every entry whose ready cycle has arrived to its sweep set
    (fast-forward may land many cycles later; the heap drains all due
    entries at once). *)
 let rec heap_release_due c now =
   if c.hp_n > 0 && c.hp_rdy.(0) <= now then begin
-    scan_add c c.hp_slot.(0);
-    c.w_rdy.(c.hp_slot.(0)) <- true;
+    ready_add c c.hp_slot.(0);
     c.hp_n <- c.hp_n - 1;
     c.hp_rdy.(0) <- c.hp_rdy.(c.hp_n);
     c.hp_slot.(0) <- c.hp_slot.(c.hp_n);
@@ -1239,8 +1071,123 @@ let rec heap_release_due c now =
     heap_release_due c now
   end
 
+(* Put unissued [slot] where its operands say it belongs, as of cycle
+   [now]: on the waiter list of its first unissued producer (sound
+   because that producer cannot complete or retire without issuing, and
+   {!wake_waiters} runs at that issue), on the ready-time heap until its
+   latest producer completes, or in its class's sweep set. Runs at
+   rename and at each producer issue, so the sweep never visits an entry
+   just to find out that its operands are not ready. *)
+let place c slot ~now =
+  let u = first_unissued c slot in
+  if u >= 0 then begin
+    let ps = u land c.w_mask in
+    c.w_wnext.(slot) <- c.w_wfirst.(ps);
+    c.w_wfirst.(ps) <- slot
+  end
+  else begin
+    let r1 = dep_done_at c c.w_s1.(slot) in
+    let r2 = dep_done_at c c.w_s2.(slot) in
+    let r3 = dep_done_at c c.w_s3.(slot) in
+    let rdy =
+      if r1 >= r2 then (if r1 >= r3 then r1 else r3)
+      else if r2 >= r3 then r2
+      else r3
+    in
+    if rdy > now then heap_push c ~rdy ~slot else ready_add c slot
+  end
+
+(* Re-place [slot]'s waiters at its issue; the caller has already set
+   its [w_done]. A waiter always sits later in ring order than its
+   producer, so one whose operands are now ready (a zero-latency
+   producer) is still visited this very cycle — exactly when a full
+   rescan would have issued it. *)
+let rec wake_list c w ~now =
+  if w >= 0 then begin
+    let nxt = c.w_wnext.(w) in
+    c.w_wnext.(w) <- -1;
+    place c w ~now;
+    wake_list c nxt ~now
+  end
+
+let[@inline] wake_waiters c slot ~now =
+  let w = c.w_wfirst.(slot) in
+  if w >= 0 then begin
+    c.w_wfirst.(slot) <- -1;
+    wake_list c w ~now
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Rename (in order, bounded by freelist and window)                   *)
+(* ------------------------------------------------------------------ *)
+
+let rec rename_loop t c renamed =
+  if
+    renamed >= t.cfg.rename_width
+    || c.p_head = c.p_tail
+    || c.w_tail - c.w_head >= t.cfg.window
+  then renamed
+  else begin
+    let ps = c.p_head land c.p_mask in
+    let kind = c.p_kind.(ps) in
+    (* Loads, computes and dups hold a physical register row until
+       commit; stores do not. *)
+    if kind <> k_store && not (Freelist.alloc c.freelist) then begin
+      c.rename_stalls <- c.rename_stalls + 1;
+      (match c.cur_phase with
+      | Some pa -> pa.pa_stalls <- pa.pa_stalls + 1
+      | None -> ());
+      renamed
+    end
+    else begin
+      c.p_head <- c.p_head + 1;
+      let slot = c.w_tail land c.w_mask in
+      c.w_kind.(slot) <- kind;
+      c.w_width.(slot) <- (if t.shares_ports then t.cfg.exebus else c.vl);
+      c.w_arr.(slot) <- c.p_arr.(ps);
+      c.w_base.(slot) <- c.p_base.(ps);
+      c.w_elems.(slot) <- c.p_elems.(ps);
+      c.w_lat.(slot) <- c.p_lat.(ps);
+      c.w_done.(slot) <- max_int;
+      c.w_mob.(slot) <- -1;
+      c.w_wfirst.(slot) <- -1;
+      if kind = k_store then begin
+        (* A store waits on the last producer of the stored register. *)
+        c.w_s1.(slot) <- c.vmap.(c.p_dst.(ps));
+        c.w_s2.(slot) <- -1;
+        c.w_s3.(slot) <- -1
+      end
+      else if kind = k_compute then begin
+        let s1 = c.p_s1.(ps) and s2 = c.p_s2.(ps) and s3 = c.p_s3.(ps) in
+        c.w_s1.(slot) <- (if s1 >= 0 then c.vmap.(s1) else -1);
+        c.w_s2.(slot) <- (if s2 >= 0 then c.vmap.(s2) else -1);
+        c.w_s3.(slot) <- (if s3 >= 0 then c.vmap.(s3) else -1);
+        c.vmap.(c.p_dst.(ps)) <- c.w_tail
+      end
+      else begin
+        (* Loads and dups have no vector producers. *)
+        c.w_s1.(slot) <- -1;
+        c.w_s2.(slot) <- -1;
+        c.w_s3.(slot) <- -1;
+        c.vmap.(c.p_dst.(ps)) <- c.w_tail
+      end;
+      place c slot ~now:t.cycle;
+      c.w_tail <- c.w_tail + 1;
+      rename_loop t c (renamed + 1)
+    end
+  end
+
+let rename t c =
+  if c.halted && c.p_head = c.p_tail then ()
+  else if rename_loop t c 0 > 0 then t.work_cycle <- t.cycle
+
+(* ------------------------------------------------------------------ *)
+(* Issue (out of order within the window)                              *)
+(* ------------------------------------------------------------------ *)
+
 let record_compute_issue t c width =
-  if Prof.sampled t.prof then Prof.enter t.prof Prof.Exe_apply;
+  let pr = Prof.sampled t.prof in
+  if pr then Prof.enter t.prof Prof.Exe_apply;
   t.work_cycle <- t.cycle;
   c.issued_compute <- c.issued_compute + 1;
   (match c.cur_phase with
@@ -1256,31 +1203,26 @@ let record_compute_issue t c width =
   t.busy_lanes.(0) <-
     t.busy_lanes.(0) +. (float_of_int num /. float_of_int den);
   Buckets.add_ratio c.lanes_buckets ~cycle:t.cycle ~num ~den;
-  if Prof.sampled t.prof then Prof.exit t.prof
+  if pr then Prof.exit t.prof
 
 let record_mem_issue t c =
-  if Prof.sampled t.prof then Prof.enter t.prof Prof.Exe_apply;
+  let pr = Prof.sampled t.prof in
+  if pr then Prof.enter t.prof Prof.Exe_apply;
   t.work_cycle <- t.cycle;
   c.issued_mem <- c.issued_mem + 1;
   (match c.cur_phase with
   | Some pa -> pa.pa_mem <- pa.pa_mem + 1
   | None -> ());
-  if Prof.sampled t.prof then Prof.exit t.prof
-
-exception Ports_exhausted
+  if pr then Prof.exit t.prof
 
 (* Lazily resolved per-scan capability tests. Both predicates are
    entry-independent, and within one core's scan they only flip
    true->false at an issue *by that core* (other cores' scans already
    ran this cycle; LSU retires happen in an earlier stage). So each is
    evaluated at most once per scan — the cache is invalidated after an
-   issue of the matching class — and the per-entry test reduces to one
-   flag check. Beyond cost, [Ports_exhausted] fires as soon as all
-   three resolve to false, which the budget-only test cannot see when
-   e.g. a full LSU rejects every load without consuming budget. The
-   entries selected for issue are exactly those of the naive re-probing
-   scan; only the [Exebu.issue_checks] observability counter (probe
-   count) changes. *)
+   issue of the matching class — and a class resolved to "no" drops out
+   of the sweep's open mask: its set is not visited again this pass.
+   A memory budget of 0 or a full MOB closes both directions at once. *)
 let[@inline] comp_possible t ~dom ~units ~n =
   t.sc_comp = 1
   || (t.sc_comp < 0
@@ -1295,38 +1237,40 @@ let[@inline] comp_possible t ~dom ~units ~n =
 let[@inline] mem_possible t c ~dom ~is_store =
   let cached = if is_store then t.sc_store else t.sc_load in
   cached = 1
-  || (cached < 0
-      &&
-      let ok =
-        t.mem_budget.(dom) > 0
-        && Lsu.can_accept c.lsu ~is_store
-        && not (Mob.is_full t.mob)
-      in
-      (if is_store then t.sc_store <- Bool.to_int ok
-       else t.sc_load <- Bool.to_int ok);
-      ok)
+  || cached < 0
+     &&
+     if t.mem_budget.(dom) = 0 || Mob.is_full t.mob then begin
+       t.sc_load <- 0;
+       t.sc_store <- 0;
+       false
+     end
+     else begin
+       let ok = Lsu.can_accept c.lsu ~is_store in
+       if is_store then t.sc_store <- Bool.to_int ok
+       else t.sc_load <- Bool.to_int ok;
+       ok
+     end
 
-let attempt_issue t c ~dom ~units ~n slot =
+(* Visit an operand-ready entry of an open class: issue it if its class
+   can still issue and (for memory) no in-flight access conflicts. *)
+let visit t c ~dom ~units ~n slot =
+  t.visits <- t.visits + 1;
   let kind = c.w_kind.(slot) in
   if kind >= k_compute then begin
     if comp_possible t ~dom ~units ~n then begin
-      t.sc_comp <- -1;
       t.compute_budget.(dom) <- t.compute_budget.(dom) - 1;
+      t.sc_comp <- (if t.compute_budget.(dom) = 0 then 0 else -1);
       Exebu.issue_arr t.exebus ~unit_ids:units ~n;
-      Bitset.remove c.w_unissued slot;
-      Bitset.remove c.w_scan slot;
-      Bitset.remove c.w_scan_c slot;
+      Bitset.remove c.w_ready.(0) slot;
       c.w_done.(slot) <- t.cycle + c.w_lat.(slot);
-      wake_waiters c slot;
+      wake_waiters c slot ~now:t.cycle;
       record_compute_issue t c c.w_width.(slot)
     end
   end
   else begin
     let is_store = kind = k_store in
-    (* Same evaluation order as the former [mem_possible && not conflicts]
-       conjunction; split so the conflict case can inform the
-       cycle-accounting classifier that a ready uop was held back purely
-       by memory ordering. *)
+    (* A ready uop held back purely by memory ordering informs the
+       cycle-accounting classifier. *)
     if mem_possible t c ~dom ~is_store then
       if
         Mob.conflicts t.mob ~arr:c.w_arr.(slot) ~base:c.w_base.(slot)
@@ -1335,109 +1279,58 @@ let attempt_issue t c ~dom ~units ~n slot =
         if t.at_on then t.at_mob_blocked.(c.id) <- true
       end
       else begin
-      t.sc_load <- -1;
-      t.sc_store <- -1;
-      t.mem_budget.(dom) <- t.mem_budget.(dom) - 1;
-      let level =
-        Profile.classify (Workload.profile_of_array c.wl c.w_arr.(slot)) t.rng
-      in
-      let bytes = c.w_elems.(slot) * 4 in
-      (* Unit-stride vector loads are the stream prefetcher's best case;
-         stores are buffered anyway so their observed latency does not
-         matter. *)
-      let done_at =
-        Hierarchy.book t.hierarchy ~prefetched:t.cfg.prefetch ~now:t.cycle
-          ~level ~bytes
-      in
-      let mslot =
-        Mob.insert_slot t.mob ~core:c.id ~arr:c.w_arr.(slot)
-          ~base:c.w_base.(slot) ~len:c.w_elems.(slot) ~is_store
-      in
-      Lsu.add_slot c.lsu ~done_at ~is_store ~mob:mslot;
-      Bitset.remove c.w_unissued slot;
-      Bitset.remove c.w_scan slot;
-      Bitset.remove c.w_scan_m slot;
-      wake_waiters c slot;
-      (* Senior stores: a store leaves the window at issue (its data is
-         in the store queue); the LSU/MOB keep tracking it until the
-         memory system completes it, so drains and ordering still see
-         it. Loads hold their window slot (and register row) until the
-         data returns. *)
-      c.w_done.(slot) <- (if is_store then t.cycle else done_at);
-      c.w_mob.(slot) <- mslot;
-      record_mem_issue t c
+        t.mem_budget.(dom) <- t.mem_budget.(dom) - 1;
+        t.sc_load <- (if t.mem_budget.(dom) = 0 then 0 else -1);
+        t.sc_store <- t.sc_load;
+        let level =
+          Profile.classify (Workload.profile_of_array c.wl c.w_arr.(slot)) t.rng
+        in
+        let bytes = c.w_elems.(slot) * 4 in
+        (* Unit-stride vector loads are the stream prefetcher's best case;
+           stores are buffered anyway so their observed latency does not
+           matter. *)
+        let done_at =
+          Hierarchy.book t.hierarchy ~prefetched:t.cfg.prefetch ~now:t.cycle
+            ~level ~bytes
+        in
+        let mslot =
+          Mob.insert_slot t.mob ~core:c.id ~arr:c.w_arr.(slot)
+            ~base:c.w_base.(slot) ~len:c.w_elems.(slot) ~is_store
+        in
+        Lsu.add_slot c.lsu ~done_at ~is_store ~mob:mslot;
+        Bitset.remove c.w_ready.(class_of kind) slot;
+        (* Senior stores: a store leaves the window at issue (its data is
+           in the store queue); the LSU/MOB keep tracking it until the
+           memory system completes it, so drains and ordering still see
+           it. Loads hold their window slot (and register row) until the
+           data returns. *)
+        c.w_done.(slot) <- (if is_store then t.cycle else done_at);
+        c.w_mob.(slot) <- mslot;
+        wake_waiters c slot ~now:t.cycle;
+        record_mem_issue t c
       end
   end
 
-let try_issue t c ~dom ~units ~n slot =
-  if t.compute_budget.(dom) = 0 && t.mem_budget.(dom) = 0 then
-    raise_notrace Ports_exhausted;
-  (* {-1,0,1} flags: [lor] is 0 iff all three resolved to false. *)
-  if t.sc_comp lor t.sc_load lor t.sc_store = 0 then
-    raise_notrace Ports_exhausted;
-  if c.w_rdy.(slot) then attempt_issue t c ~dom ~units ~n slot
-  else begin
-    let u = first_unissued c slot in
-    if u >= 0 then park c slot u
-    else begin
-      let r1 = dep_done_at c c.w_s1.(slot) in
-      let r2 = dep_done_at c c.w_s2.(slot) in
-      let r3 = dep_done_at c c.w_s3.(slot) in
-      let rdy =
-        if r1 >= r2 then (if r1 >= r3 then r1 else r3)
-        else if r2 >= r3 then r2
-        else r3
-      in
-      if rdy > t.cycle then begin
-        (* Every producer has issued, so [rdy] is the entry's exact
-           earliest issue cycle: park it on the ready-time heap until
-           then. (With an unissued producer no sound bound exists yet;
-           the entry instead parks on that producer's waiter list.) *)
-        scan_remove c slot;
-        heap_push c ~rdy ~slot
-      end
-      else begin
-        c.w_rdy.(slot) <- true;
-        (* First visit with operands ready: if the entry's LSU direction
-           is full it parks on that direction's FIFO (in sequence order,
-           since first-ready visits happen in sweep order). Later visits
-           never park — a woken entry that loses arbitration must stay
-           in the sweep set, or re-parking could scramble the FIFO's
-           sequence order. *)
-        let kind = c.w_kind.(slot) in
-        if
-          kind < k_compute
-          && not (Lsu.can_accept c.lsu ~is_store:(kind = k_store))
-        then park_space c slot ~is_store:(kind = k_store)
-        else attempt_issue t c ~dom ~units ~n slot
-      end
-    end
-  end
-
-(* Sweep the scannable bitmask over slots [lo, hi) in increasing order;
-   within a ring segment, slot order is insertion (sequence) order.
-   Waiters woken by an issue earlier in the sweep sit at later slots
-   (program order), so [next_set_from] picks them up this very pass.
-
-   Class narrowing: a capability flag at 0 means that class cannot issue
-   for the remainder of this core's pass (budgets only decrease within a
-   cycle, execution units and LSU/MOB slots only fill — the flags reset
-   exactly at the events that could reopen them), so the sweep switches
-   from the union bitmask to the still-open class's subset. Skipped
-   entries could not have issued; their bookkeeping visits (readiness
-   derivation, parking) merely happen on a later cycle with identical
-   outcomes, because their producers' issue cycles and [w_done] times
-   are unchanged by the skip. *)
+(* Sweep the sets of the open classes over slots [lo, hi) in increasing
+   order; within a ring segment, slot order is insertion (sequence)
+   order, so entries issue oldest first as in a full rescan. Waiters
+   made ready by an issue earlier in the sweep sit at later slots, so
+   [next_set_from_union] picks them up this very pass. The open mask is
+   re-read after every visit: budgets only decrease within a cycle and
+   execution units and LSU/MOB slots only fill, so a closed class stays
+   closed for the rest of the pass, and entries of closed classes could
+   not have issued. *)
 let rec issue_segment t c ~dom ~units ~n lo hi =
-  if lo < hi then begin
-    let scan =
-      if t.sc_comp = 0 then c.w_scan_m
-      else if t.sc_load = 0 && t.sc_store = 0 then c.w_scan_c
-      else c.w_scan
-    in
-    let s = Bitset.next_set_from scan lo in
+  (* A class is open while its flag is -1 (unresolved) or 1: bit 0. *)
+  let mask =
+    (t.sc_comp land 1)
+    lor ((t.sc_load land 1) lsl 1)
+    lor ((t.sc_store land 1) lsl 2)
+  in
+  if lo < hi && mask <> 0 then begin
+    let s = Bitset.next_set_from_union c.w_ready mask lo in
     if s >= 0 && s < hi then begin
-      try_issue t c ~dom ~units ~n s;
+      visit t c ~dom ~units ~n s;
       issue_segment t c ~dom ~units ~n (s + 1) hi
     end
   end
@@ -1446,22 +1339,21 @@ let issue_core t c =
   let dom = domain t c.id in
   let units = if t.shares_ports then t.all_units_arr else c.owned_arr in
   let n = if t.shares_ports then t.cfg.exebus else c.owned_n in
-  t.sc_comp <- -1;
-  t.sc_load <- -1;
-  t.sc_store <- -1;
+  (* An earlier core may have spent a shared (FTS) budget. *)
+  t.sc_comp <- (if t.compute_budget.(dom) = 0 then 0 else -1);
+  t.sc_load <- (if t.mem_budget.(dom) = 0 then 0 else -1);
+  t.sc_store <- t.sc_load;
   heap_release_due c t.cycle;
-  try
-    if c.w_head < c.w_tail then begin
-      let hs = c.w_head land c.w_mask in
-      let ts = c.w_tail land c.w_mask in
-      if hs < ts then issue_segment t c ~dom ~units ~n hs ts
-      else begin
-        (* Wrapped ring: the [hs, cap) segment holds the older entries. *)
-        issue_segment t c ~dom ~units ~n hs c.w_cap;
-        issue_segment t c ~dom ~units ~n 0 ts
-      end
+  if c.w_head < c.w_tail then begin
+    let hs = c.w_head land c.w_mask in
+    let ts = c.w_tail land c.w_mask in
+    if hs < ts then issue_segment t c ~dom ~units ~n hs ts
+    else begin
+      (* Wrapped ring: the [hs, cap) segment holds the older entries. *)
+      issue_segment t c ~dom ~units ~n hs c.w_cap;
+      issue_segment t c ~dom ~units ~n 0 ts
     end
-  with Ports_exhausted -> ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Retire / commit                                                     *)
@@ -1470,8 +1362,7 @@ let issue_core t c =
 let rec retire_window t c =
   if c.w_head < c.w_tail then begin
     let slot = c.w_head land c.w_mask in
-    if (not (Bitset.mem c.w_unissued slot)) && c.w_done.(slot) <= t.cycle
-    then begin
+    if c.w_done.(slot) <= t.cycle then begin
       c.w_head <- c.w_head + 1;
       t.work_cycle <- t.cycle;
       if c.w_kind.(slot) <> k_store then Freelist.release c.freelist;
@@ -1480,26 +1371,12 @@ let rec retire_window t c =
   end
 
 let retire_due t c =
-  let occ0 = Lsu.outstanding c.lsu in
   let n = Lsu.retire_into c.lsu ~now:t.cycle ~into:t.mob_scratch in
   if n > 0 then begin
     t.work_cycle <- t.cycle;
     for i = 0 to n - 1 do
       Mob.remove_slot t.mob t.mob_scratch.(i)
     done
-  end;
-  if Lsu.outstanding c.lsu < occ0 then begin
-    (* Freed LSU slots make space-parked entries issuable this very
-       cycle (dispatch runs after retirement). Waking one waiter per
-       free slot keeps at least as many candidates in the sweep set as
-       there are slots to fill, and waking oldest-first preserves the
-       sequence-order arbitration of the full rescan: any entry left
-       parked has [free] or more older dep-ready rivals already in the
-       sweep, so the rescan could not have picked it either. *)
-    wake_space_loads c
-      (t.cfg.Config.lsu_load_capacity - Lsu.outstanding_loads c.lsu);
-    wake_space_stores c
-      (t.cfg.Config.lsu_store_capacity - Lsu.outstanding_stores c.lsu)
   end
 
 let[@inline] retire t c =
@@ -1798,6 +1675,20 @@ let rename_quiescence t c =
     if needs_row && Freelist.free c.freelist = 0 then Rq_stalled
     else Rq_progress
 
+(* Is there a ready load or store in [c]'s sweep sets, at or after slot
+   [i], whose LSU direction has room in a non-full MOB and whose MOB
+   conflict test reads [conflicting]? Allocation-free. *)
+let rec mem_ready_scan t c ~conflicting i =
+  let s = Bitset.next_set_from_union c.w_ready 0b110 i in
+  s >= 0
+  && ((let is_store = c.w_kind.(s) = k_store in
+       Lsu.can_accept c.lsu ~is_store
+       && (not (Mob.is_full t.mob))
+       && Mob.conflicts t.mob ~arr:c.w_arr.(s) ~base:c.w_base.(s)
+            ~len:c.w_elems.(s) ~is_store
+          = conflicting)
+     || mem_ready_scan t c ~conflicting (s + 1))
+
 (* [hz_note]/[t.hz_ev] replace the closure the horizon scan used to
    allocate per call: the accumulator lives on [t]. *)
 let[@inline] hz_note t now x =
@@ -1808,9 +1699,9 @@ let[@inline] hz_note t now x =
    [Horizon_now] when something may act on the very next cycle. Purely
    observational — it must not mutate simulator state (no RNG draws, no
    [try_set_vl] attempts), or replaying the skipped cycles would
-   diverge. Two passes: the cheap front-end/scheduling checks first so
-   the common "a core is actively executing" case bails before any
-   window scan. *)
+   diverge. Two passes: the front-end/scheduling checks first, so the
+   common "a core is actively executing" case bails early, then the
+   window, read off where {!place} put each unissued entry. *)
 let horizon t =
   let now = t.cycle in
   t.hz_ev <- max_int;
@@ -1862,99 +1753,34 @@ let horizon t =
     let c = t.cores.(i) in
     (* Next memory completion ([max_int] when drained is inert). *)
     hz_note t now (Lsu.next_done_at c.lsu);
-    (* The window head retires the cycle after it completes. *)
-    if c.w_head < c.w_tail then begin
-      let hslot = c.w_head land c.w_mask in
-      if (not (Bitset.mem c.w_unissued hslot)) && c.w_done.(hslot) <= now
-      then raise_notrace Horizon_now
-    end;
-    for q = c.w_head to c.w_tail - 1 do
-      let s = q land c.w_mask in
-      if not (Bitset.mem c.w_unissued s) then begin
-        (* Completes at [w_done]; already-complete non-head entries
-           (senior stores) retire with the head, an event of its own. *)
-        if c.w_done.(s) > now then hz_note t now c.w_done.(s)
-      end
-      else if
-          dep_issued c c.w_s1.(s)
-          && dep_issued c c.w_s2.(s)
-          && dep_issued c c.w_s3.(s)
-      then begin
-        let rdy =
-          let r1 = dep_done_at c c.w_s1.(s) in
-          let r2 = dep_done_at c c.w_s2.(s) in
-          let r3 = dep_done_at c c.w_s3.(s) in
-          let m = if r1 > r2 then r1 else r2 in
-          if m > r3 then m else r3
-        in
-        if rdy > now then hz_note t now rdy
-        else if c.w_kind.(s) >= k_compute then
-          (* Ready compute: ports and ExeBU slots refresh every cycle,
-             so it can issue next cycle. *)
-          raise_notrace Horizon_now
-        else begin
-          let is_store = c.w_kind.(s) = k_store in
-          if
-            Lsu.can_accept c.lsu ~is_store
-            && (not (Mob.is_full t.mob))
-            && not
-                 (Mob.conflicts t.mob ~arr:c.w_arr.(s) ~base:c.w_base.(s)
-                    ~len:c.w_elems.(s) ~is_store)
-          then raise_notrace Horizon_now
-          (* else blocked on LSU/MOB occupancy or an address
-             conflict: that state only changes at a memory
-             completion, noted above for every core. *)
-        end
-      end
-      (* Unissued with an unissued producer: bounded by the producer's
-         own entry, scanned in this same pass. *)
-    done
+    (* The window head retires the cycle after it completes ([max_int]
+       while unissued). A later entry's completion changes nothing by
+       itself: it retires behind the head, and its waiters already sit
+       on the ready-time heap. *)
+    if c.w_head < c.w_tail then
+      hz_note t now c.w_done.(c.w_head land c.w_mask);
+    (* The unissued entries, by where {!place} put them: heap entries
+       become ready at their (future) ready cycle; a ready compute can
+       issue next cycle, as ports and ExeBU slots refresh every cycle;
+       a ready load or store can too unless LSU/MOB occupancy or an
+       address conflict holds it, which only a memory completion
+       (noted above for every core) changes. Entries parked on a
+       producer are bounded by that producer. *)
+    if c.hp_n > 0 then hz_note t now c.hp_rdy.(0);
+    if not (Bitset.is_empty c.w_ready.(0)) then raise_notrace Horizon_now;
+    if mem_ready_scan t c ~conflicting:false 0 then raise_notrace Horizon_now
   done;
   t.hz_ev
 
 (* Would the naive loop's dispatch sweep have flagged a MOB conflict
-   for [c] on each cycle of an inert stretch? Mirrors the horizon scan's
-   memory branch plus [mem_possible]'s port gate: a dep-ready unissued
-   memory entry the LSU could accept into a non-full MOB, held back only
-   by an address conflict. Window/LSU/MOB state is constant across the
-   stretch (heap-parked entries have ready times past its end — the
-   horizon noted them as events), so one scan answers for every skipped
-   cycle. Allocation-free, like the rest of the FF path. *)
+   for [c] on each cycle of an inert stretch? The horizon scan's memory
+   test plus [mem_possible]'s port gate: a ready memory entry the LSU
+   could accept into a non-full MOB, held back only by an address
+   conflict. Window/LSU/MOB state is constant across the stretch
+   (heap-parked entries have ready times past its end — the horizon
+   noted them as events), so one scan answers for every skipped cycle. *)
 let ff_mob_scan t c =
-  let now = t.cycle in
-  let rec scan q =
-    if q >= c.w_tail then false
-    else begin
-      let s = q land c.w_mask in
-      if
-        Bitset.mem c.w_unissued s
-        && c.w_kind.(s) < k_compute
-        && dep_issued c c.w_s1.(s)
-        && dep_issued c c.w_s2.(s)
-        && dep_issued c c.w_s3.(s)
-      then begin
-        let rdy =
-          let r1 = dep_done_at c c.w_s1.(s) in
-          let r2 = dep_done_at c c.w_s2.(s) in
-          let r3 = dep_done_at c c.w_s3.(s) in
-          let m = if r1 > r2 then r1 else r2 in
-          if m > r3 then m else r3
-        in
-        let is_store = c.w_kind.(s) = k_store in
-        if
-          rdy <= now
-          && t.cfg.mem_ports > 0
-          && Lsu.can_accept c.lsu ~is_store
-          && (not (Mob.is_full t.mob))
-          && Mob.conflicts t.mob ~arr:c.w_arr.(s) ~base:c.w_base.(s)
-               ~len:c.w_elems.(s) ~is_store
-        then true
-        else scan (q + 1)
-      end
-      else scan (q + 1)
-    end
-  in
-  scan c.w_head
+  t.cfg.mem_ports > 0 && mem_ready_scan t c ~conflicting:true 0
 
 (* Jump to [target] (exclusive of the step that will execute
    [target + 1]), batching exactly the per-cycle effects the naive loop
@@ -2182,4 +2008,5 @@ let stage_work t =
     ("lsu.retired", float_of_int (sum (fun c -> Lsu.retired c.lsu)));
     ("exebu.issue_checks", float_of_int (Exebu.issue_checks t.exebus));
     ("exebu.issues", float_of_int (Exebu.issues t.exebus));
+    ("dispatch.visits", float_of_int t.visits);
   ]

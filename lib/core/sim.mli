@@ -108,5 +108,6 @@ val attrib : t -> Occamy_obs.Attrib.t
 val stage_work : t -> (string * float) list
 (** Work counters correlated with the profiler's stages, summed over
     cores: LSU retire scans and completions, ExeBU issue probes and
-    issues — so stage time can be read as ns per unit of work. *)
+    issues, and the window entries the dispatch sweep visited — so stage
+    time can be read as ns per unit of work. All are deterministic. *)
 

@@ -49,12 +49,13 @@ let naive_cycles_per_sec s = per_second s.simulated_cycles s.naive_seconds
 let ff_cycles_per_sec s = per_second s.simulated_cycles s.ff_seconds
 let speedup s = s.naive_seconds /. Float.max s.ff_seconds 1e-9
 
-(** Time one architecture on [wls], naive loop then fast-forward loop.
-    [repeat] re-runs each loop that many times and keeps the fastest
-    wall-clock (the standard noise dodge: the minimum is the run least
-    perturbed by the rest of the machine). Raises [Failure] if the two
-    loops disagree on the metrics — the equivalence guarantee the
-    measurement rests on. *)
+(** Time one architecture on [wls], naive loop and fast-forward loop.
+    [repeat] runs the pair that many times, alternating naive and
+    fast-forward so host drift falls on both alike, and keeps each
+    loop's fastest wall-clock (the standard noise dodge: the minimum is
+    the run least perturbed by the rest of the machine). Raises
+    [Failure] if the two loops disagree on the metrics — the equivalence
+    guarantee the measurement rests on. *)
 let measure ?(cfg = Config.default) ?(context_switches = []) ?(repeat = 1)
     ~arch wls =
   if repeat < 1 then invalid_arg "Perf.measure: repeat must be >= 1";
@@ -66,17 +67,13 @@ let measure ?(cfg = Config.default) ?(context_switches = []) ?(repeat = 1)
     let m = Sim.run t in
     (m, t)
   in
-  let best mode =
-    let r, s0 = time (fun () -> run mode) in
-    let s = ref s0 in
-    for _ = 2 to repeat do
-      let _, si = time (fun () -> run mode) in
-      if si < !s then s := si
-    done;
-    (r, !s)
-  in
-  let (m_naive, _), naive_seconds = best false in
-  let (m_ff, t_ff), ff_seconds = best true in
+  let (m_naive, _), s_naive = time (fun () -> run false) in
+  let (m_ff, t_ff), s_ff = time (fun () -> run true) in
+  let naive_seconds = ref s_naive and ff_seconds = ref s_ff in
+  for _ = 2 to repeat do
+    naive_seconds := Float.min !naive_seconds (snd (time (fun () -> run false)));
+    ff_seconds := Float.min !ff_seconds (snd (time (fun () -> run true)))
+  done;
   if m_naive <> m_ff then
     failwith
       (Printf.sprintf
@@ -88,8 +85,8 @@ let measure ?(cfg = Config.default) ?(context_switches = []) ?(repeat = 1)
     simulated_cycles = Sim.cycle t_ff;
     skipped_cycles = Sim.skipped_cycles t_ff;
     ff_jumps = Sim.ff_jumps t_ff;
-    naive_seconds;
-    ff_seconds;
+    naive_seconds = !naive_seconds;
+    ff_seconds = !ff_seconds;
   }
 
 (** Measure all four architectures sequentially (wall-clock timings must
@@ -99,11 +96,14 @@ let measure_all ?cfg ?context_switches ?repeat wls =
     (fun arch -> measure ?cfg ?context_switches ?repeat ~arch wls)
     Arch.all
 
-let total_naive_seconds samples =
-  List.fold_left (fun acc s -> acc +. s.naive_seconds) 0.0 samples
-
-let total_ff_seconds samples =
-  List.fold_left (fun acc s -> acc +. s.ff_seconds) 0.0 samples
+(** Geometric mean over [samples] of fast-forward seconds per naive
+    second: one figure per scenario, to which every architecture
+    contributes alike however long its run. *)
+let ff_over_naive samples =
+  Occamy_util.Stats.geomean
+    (List.map
+       (fun s -> Float.max s.ff_seconds 1e-9 /. Float.max s.naive_seconds 1e-9)
+       samples)
 
 let pp_sample ppf s =
   Fmt.pf ppf

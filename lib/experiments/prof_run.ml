@@ -44,7 +44,9 @@ let summary_table r =
 
 (* Join a stage's sampled time with its work counter: the counters
    cover the whole run while the time covers sampled cycles only, so
-   scale the count by the sampling fraction before dividing. *)
+   scale the count by the sampling fraction before dividing. The
+   dispatch rows read as ns per slot probe, per issue and per visited
+   window entry. *)
 let work_table r =
   let tbl =
     Table.create
@@ -80,6 +82,7 @@ let work_table r =
   row "lsu.retired" Prof.Lsu_retire;
   row "exebu.issue_checks" Prof.Dispatch;
   row "exebu.issues" Prof.Dispatch;
+  row "dispatch.visits" Prof.Dispatch;
   tbl
 
 let top3_line r =

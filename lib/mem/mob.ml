@@ -10,10 +10,12 @@
     deallocates. The structure is per-machine (addresses are global).
 
     Data-oriented layout: entries live in preallocated parallel int
-    arrays indexed by slot, with a packed occupancy bitmask driving the
-    conflict sweep and a free-slot stack for O(1) allocation — the
-    simulator probes [conflicts]/[is_full] on every load/store issue
-    attempt, and none of it allocates. The simulator addresses entries
+    arrays indexed by slot, with a packed occupancy bitmask, a free-slot
+    stack for O(1) allocation, and per-array lists of occupied slots
+    (one for loads, one for stores) so a conflict probe walks only the
+    entries of its own array — the simulator probes
+    [conflicts]/[is_full] on every load/store issue attempt, and none of
+    it allocates. The simulator addresses entries
     by slot ([insert_slot]/[remove_slot]); the id-based API remains for
     callers that want stable handles. *)
 
@@ -31,13 +33,17 @@ type t = {
   occ : Bitset.t;
   free : int array;
   mutable free_n : int;
-  (* Per-array-id occupancy counters gating the conflict sweep: a read
-     can only conflict with an in-flight store to the same array, and a
-     write with any in-flight access to it, so a zero count proves the
-     absence of conflicts without scanning. Array ids beyond the fixed
-     span (rare) fall back to the full sweep. *)
-  arr_stores : int array;
-  arr_any : int array;
+  (* Per-array-id lists of occupied slots, doubly linked through
+     [next]/[prev] (-1 ends a list): a read can only conflict with an
+     in-flight store to the same array, and a write with any in-flight
+     access to it, so a probe walks [st_first.(arr)] (and, for a write,
+     [ld_first.(arr)]) instead of every occupied slot. Entries whose
+     array id lies outside [0, arr_span) (rare) are on no list; a probe
+     for such an id falls back to the full sweep. *)
+  ld_first : int array;
+  st_first : int array;
+  next : int array;
+  prev : int array;
 }
 
 let arr_span = 256
@@ -56,8 +62,10 @@ let create ?(capacity = 64) () =
     occ = Bitset.create capacity;
     free = Array.init capacity (fun i -> i);
     free_n = capacity;
-    arr_stores = Array.make arr_span 0;
-    arr_any = Array.make arr_span 0;
+    ld_first = Array.make arr_span (-1);
+    st_first = Array.make arr_span (-1);
+    next = Array.make capacity (-1);
+    prev = Array.make capacity (-1);
   }
 
 let size t = t.capacity - t.free_n
@@ -79,8 +87,12 @@ let insert_slot t ~core ~arr ~base ~len ~is_store =
   t.lens.(s) <- len;
   t.stores.(s) <- is_store;
   if arr >= 0 && arr < arr_span then begin
-    t.arr_any.(arr) <- t.arr_any.(arr) + 1;
-    if is_store then t.arr_stores.(arr) <- t.arr_stores.(arr) + 1
+    let first = if is_store then t.st_first else t.ld_first in
+    let h = first.(arr) in
+    t.next.(s) <- h;
+    t.prev.(s) <- -1;
+    if h >= 0 then t.prev.(h) <- s;
+    first.(arr) <- s
   end;
   Bitset.add t.occ s;
   s
@@ -91,8 +103,11 @@ let remove_slot t s =
   t.ids.(s) <- -1;
   let arr = t.arrs.(s) in
   if arr >= 0 && arr < arr_span then begin
-    t.arr_any.(arr) <- t.arr_any.(arr) - 1;
-    if t.stores.(s) then t.arr_stores.(arr) <- t.arr_stores.(arr) - 1
+    let p = t.prev.(s) and n = t.next.(s) in
+    if p >= 0 then t.next.(p) <- n
+    else if t.stores.(s) then t.st_first.(arr) <- n
+    else t.ld_first.(arr) <- n;
+    if n >= 0 then t.prev.(n) <- p
   end;
   Bitset.remove t.occ s;
   t.free.(t.free_n) <- s;
@@ -119,6 +134,7 @@ let remove t id =
 
 let[@inline] ranges_overlap b1 l1 b2 l2 = b1 < b2 + l2 && b2 < b1 + l1
 
+(* Full sweep over occupied slots, for array ids outside the lists. *)
 let rec conflict_scan t ~arr ~base ~len ~is_store s =
   if s < 0 then false
   else if
@@ -130,13 +146,21 @@ let rec conflict_scan t ~arr ~base ~len ~is_store s =
     conflict_scan t ~arr ~base ~len ~is_store
       (Bitset.next_set_from t.occ (s + 1))
 
+(* Walk one same-array list for an overlapping region. *)
+let rec list_overlaps t ~base ~len s =
+  s >= 0
+  && (ranges_overlap t.bases.(s) t.lens.(s) base len
+     || list_overlaps t ~base ~len t.next.(s))
+
 (** Does a (read) access to [arr.[base..base+len)] conflict with any
     in-flight entry? Reads conflict only with in-flight stores; writes
     conflict with everything. *)
 let conflicts t ~arr ~base ~len ~is_store =
-  (arr < 0 || arr >= arr_span
-  || (if is_store then t.arr_any.(arr) else t.arr_stores.(arr)) > 0)
-  && conflict_scan t ~arr ~base ~len ~is_store (Bitset.next_set_from t.occ 0)
+  if arr < 0 || arr >= arr_span then
+    conflict_scan t ~arr ~base ~len ~is_store (Bitset.next_set_from t.occ 0)
+  else
+    list_overlaps t ~base ~len t.st_first.(arr)
+    || (is_store && list_overlaps t ~base ~len t.ld_first.(arr))
 
 let rec count_core t ~core acc s =
   if s < 0 then acc
@@ -152,8 +176,8 @@ let outstanding_of t ~core = count_core t ~core 0 (Bitset.next_set_from t.occ 0)
 let clear t =
   Bitset.clear t.occ;
   Array.fill t.ids 0 t.capacity (-1);
-  Array.fill t.arr_stores 0 arr_span 0;
-  Array.fill t.arr_any 0 arr_span 0;
+  Array.fill t.ld_first 0 arr_span (-1);
+  Array.fill t.st_first 0 arr_span (-1);
   t.free_n <- t.capacity;
   for i = 0 to t.capacity - 1 do
     t.free.(i) <- i

@@ -92,6 +92,36 @@ let next_set_from t i =
     else scan_words t (w + 1) (Array.length t.words)
   end
 
+(* OR of word [w] over the sets whose bit is on in [mask], from set [k]
+   down to set 0; allocation-free. *)
+let rec union_word sets mask w k acc =
+  if k < 0 then acc
+  else
+    union_word sets mask w (k - 1)
+      (if mask land (1 lsl k) <> 0 then acc lor sets.(k).words.(w) else acc)
+
+(* Scan words [w, nwords) of the union; [low] masks the first word. *)
+let rec union_scan sets mask k w nwords cap low =
+  if w >= nwords then -1
+  else
+    let word = union_word sets mask w k 0 land low in
+    if word <> 0 then
+      let r = (w lsl word_shift) + ctz32 word in
+      if r < cap then r else -1
+    else union_scan sets mask k (w + 1) nwords cap (-1)
+
+let next_set_from_union sets mask i =
+  let k = Array.length sets - 1 in
+  if k < 0 then invalid_arg "Bitset.next_set_from_union: no sets";
+  let cap = sets.(0).capacity in
+  if i >= cap then -1
+  else
+    let i = if i < 0 then 0 else i in
+    union_scan sets mask k (i lsr word_shift)
+      (Array.length sets.(0).words)
+      cap
+      (lnot ((1 lsl (i land bit_mask)) - 1))
+
 let rec iter_from f t i =
   if i >= 0 then begin
     f i;

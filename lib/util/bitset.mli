@@ -30,6 +30,14 @@ val next_set_from : t -> int -> int
     Negative [i] is treated as 0; [i >= capacity] yields [-1].
     Allocation-free: this is the hot-loop scan primitive. *)
 
+val next_set_from_union : t array -> int -> int -> int
+(** [next_set_from_union sets mask i] is {!next_set_from} over the union
+    of the sets [sets.(k)] whose bit [k] is set in [mask] (bits past the
+    array are ignored; a mask selecting nothing yields [-1]). All sets
+    must share one capacity. Allocation-free: the dispatch sweep scans
+    its per-class sets of open classes with it. Raises
+    [Invalid_argument] on an empty array. *)
+
 val iter : (int -> unit) -> t -> unit
 (** Apply to members in increasing order. *)
 

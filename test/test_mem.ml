@@ -112,6 +112,77 @@ let test_mob_capacity () =
     (Mob.insert m ~core:0 ~arr:0 ~base:2 ~len:1 ~is_store:false = None);
   Helpers.check_int "per-core outstanding" 1 (Mob.outstanding_of m ~core:1)
 
+(* Same-array conflict lists vs a brute-force scan of the live entries
+   over random insert/remove/clear sequences. Array ids include negative
+   ones and ones at and past the MOB's list span (256), which take the
+   full-sweep path; small bases and lengths (zero included) make
+   adjacent, non-overlapping ranges common. *)
+let test_mob_conflicts_vs_brute_force () =
+  let module Rng = Occamy_util.Rng in
+  let rng = Rng.create ~seed:5 in
+  let arrs = [| -7; -1; 0; 1; 2; 255; 256; 1000 |] in
+  let pick () = arrs.(Rng.int rng (Array.length arrs)) in
+  let expect live ~arr ~base ~len ~is_store =
+    List.exists
+      (fun (_, a, b, l, st) ->
+        a = arr && b < base + len && base < b + l && (is_store || st))
+      live
+  in
+  for _seq = 1 to 100 do
+    let cap = 1 + Rng.int rng 12 in
+    let m = Mob.create ~capacity:cap () in
+    let live = ref [] in
+    for _op = 1 to 60 do
+      (match Rng.int rng 10 with
+      | 0 when Rng.bool rng 0.2 ->
+        Mob.clear m;
+        live := []
+      | 0 | 1 | 2 | 3 -> (
+        match !live with
+        | [] -> ()
+        | l ->
+          let ((s, _, _, _, _) as e) =
+            List.nth l (Rng.int rng (List.length l))
+          in
+          Mob.remove_slot m s;
+          live := List.filter (fun x -> x != e) l)
+      | _ ->
+        if not (Mob.is_full m) then begin
+          let arr = pick () and base = Rng.int rng 12 in
+          let len = Rng.int rng 5 in
+          let is_store = Rng.bool rng 0.5 in
+          let s = Mob.insert_slot m ~core:0 ~arr ~base ~len ~is_store in
+          live := (s, arr, base, len, is_store) :: !live
+        end);
+      Helpers.check_int "size" (List.length !live) (Mob.size m);
+      Array.iter
+        (fun arr ->
+          for base = 0 to 13 do
+            for len = 0 to 3 do
+              List.iter
+                (fun is_store ->
+                  let want = expect !live ~arr ~base ~len ~is_store in
+                  if Mob.conflicts m ~arr ~base ~len ~is_store <> want then
+                    Alcotest.failf "conflicts arr %d [%d,+%d) store %b: want %b"
+                      arr base len is_store want)
+                [ false; true ]
+            done
+          done)
+        arrs
+    done
+  done;
+  (* The asymmetry and adjacency, spelled out. *)
+  let m = Mob.create ~capacity:4 () in
+  ignore (Mob.insert_slot m ~core:0 ~arr:3 ~base:0 ~len:4 ~is_store:false);
+  Helpers.check_bool "read vs load" false
+    (Mob.conflicts m ~arr:3 ~base:2 ~len:4 ~is_store:false);
+  Helpers.check_bool "write vs load" true
+    (Mob.conflicts m ~arr:3 ~base:2 ~len:4 ~is_store:true);
+  Helpers.check_bool "adjacent write" false
+    (Mob.conflicts m ~arr:3 ~base:4 ~len:4 ~is_store:true);
+  Helpers.check_bool "zero-length write at the end" false
+    (Mob.conflicts m ~arr:3 ~base:4 ~len:0 ~is_store:true)
+
 let qcheck_channel_monotone =
   QCheck2.Test.make ~name:"channel completions are monotone for queued requests"
     QCheck2.Gen.(list_size (int_range 1 30) (int_range 1 512))
@@ -162,6 +233,8 @@ let suites =
         Alcotest.test_case "profile validation" `Quick test_profile_validation;
         Alcotest.test_case "mob overlap" `Quick test_mob_overlap;
         Alcotest.test_case "mob capacity" `Quick test_mob_capacity;
+        Alcotest.test_case "mob conflicts vs brute force" `Quick
+          test_mob_conflicts_vs_brute_force;
       ] );
     Helpers.qsuite "mem.qcheck" [ qcheck_channel_monotone; qcheck_mob_no_leak ];
   ]
